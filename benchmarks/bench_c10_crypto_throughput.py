@@ -2,7 +2,7 @@
 
 PR 2 made the *count* of cipher operations on a range query small and
 parallel (C8: ~2.9x shorter critical path), but the wall clock barely
-moved: pure-Python DES dominated the hot path and the thread pool
+moved: pure-Python DES dominated the hot path and a thread pool
 serialised it on the GIL.  This experiment measures the two remedies:
 
 1. **Kernel throughput.**  Single-thread DES blocks/sec for the
@@ -15,9 +15,8 @@ serialised it on the GIL.  This experiment measures the two remedies:
    byte-identical and >= 3x the fast kernel's bulk rate
    (``C10_VECTOR_FLOOR`` tunes the bar for slow CI hosts).
 2. **Executor backends.**  The same range-query workload through the
-   cluster's ``serial``, ``threads`` and ``processes`` executors, with
-   byte-identical results and identical cipher-operation deltas
-   asserted across all three.  Reported alongside the measured wall
+   cluster's ``serial`` and ``processes`` executors, with byte-identical
+   results and identical cipher-operation deltas asserted across both.  Reported alongside the measured wall
    clock: the serially-measured per-shard *critical path* (what
    parallel hardware can reach) and the honest CPU count -- on a
    single-core container the process pool cannot beat serial, and the
@@ -54,7 +53,7 @@ E2E_QUERIES = int(os.environ.get("C10_E2E_QUERIES", "12"))
 VECTOR_FLOOR = float(os.environ.get("C10_VECTOR_FLOOR", "3.0"))
 NUM_SHARDS = 4
 QUERY_WIDTH = 40
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 KERNELS = ("reference", "fast") + (("vector",) if vector_available() else ())
 
 
@@ -177,10 +176,10 @@ def _measure_backends(items, queries):
         for cluster in clusters.values():
             cluster.close()
 
-    assert results["serial"] == results["threads"] == results["processes"], (
+    assert results["serial"] == results["processes"], (
         "executor backends returned different results"
     )
-    assert deltas["serial"] == deltas["threads"] == deltas["processes"], (
+    assert deltas["serial"] == deltas["processes"], (
         f"executor backends did different cipher work: {deltas}"
     )
     return wall, critical, deltas["serial"], len(results["serial"][0])
@@ -281,7 +280,6 @@ def test_c10_crypto_throughput(benchmark, reporter):
         ["executor", "elapsed (s)", "vs serial"],
         [
             ["serial", f"{wall['serial']:.3f}", "1.00x"],
-            ["threads", f"{wall['threads']:.3f}", f"{speedup['threads']:.2f}x"],
             ["processes", f"{wall['processes']:.3f}", f"{speedup['processes']:.2f}x"],
             ["critical path (1 core/shard)", f"{critical:.3f}",
              f"{speedup_critical:.2f}x"],
@@ -323,7 +321,6 @@ def test_c10_crypto_throughput(benchmark, reporter):
         },
         "cluster_range_queries": {
             "wall_clock_s": wall,
-            "speedup_threads_over_serial": speedup["threads"],
             "speedup_processes_over_serial": speedup["processes"],
             "critical_path_s": critical,
             "speedup_critical_path": speedup_critical,

@@ -9,14 +9,17 @@ sync plus write-batched cluster mutations -- in three parts:
 1. **Bytes shipped per single-key write** (the acceptance metric).  A
    write/read ping-pong forces one re-sync per write; the delta
    protocol must move >= 5x fewer bytes per write than the full-state
-   re-ship baseline (``delta_sync=False``), with byte-identical query
-   results.
+   re-ship baseline, with query results byte-identical to the serial
+   executor's.  The baseline is computed, not run: before every
+   re-syncing read, the :attr:`~repro.cluster.executor.ShardSpec.
+   payload_bytes` of each stale shard's full spec -- exactly what a
+   full re-ship would move.
 2. **Mixed workloads end to end.**  One deterministic operation stream
    per scenario -- read-heavy (90% reads), mixed (60%), write-heavy
-   (30%) -- replayed through the ``serial``, ``threads`` and
-   ``processes`` executors plus the full-ship baseline, reporting
-   throughput, re-sync counts and bytes shipped.  Results and cipher
-   totals must be identical across all arms.
+   (30%) -- replayed through the ``serial`` and ``processes``
+   executors, reporting throughput, re-sync counts and bytes shipped
+   next to the computed full-ship baseline.  Results and cipher totals
+   must be identical across both arms.
 3. **Write batching.**  k single-key inserts (one re-sync each) vs one
    ``put_many`` burst (one commit + one epoch + one delta per shard):
    ships and bytes must both drop.
@@ -31,6 +34,7 @@ import os
 import random
 import time
 
+from repro.cluster.executor import spec_from_shard
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
@@ -47,7 +51,7 @@ NUM_WRITES = int(os.environ.get("C11_WRITES", "10"))
 BATCH_SIZE = int(os.environ.get("C11_BATCH", "32"))
 NUM_SHARDS = 4
 SCENARIOS = {"read_heavy": 0.9, "mixed": 0.6, "write_heavy": 0.3}
-ARMS = ("serial", "threads", "processes", "processes-full")
+ARMS = ("serial", "processes")
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:
@@ -67,8 +71,7 @@ def _new_cluster(arm: str) -> ShardedEncipheredDatabase:
         block_size=512,
         min_degree=4,
         cache_blocks=64,
-        executor="processes" if arm == "processes-full" else arm,
-        delta_sync=arm != "processes-full",
+        executor=arm,
     )
 
 
@@ -95,54 +98,79 @@ def _shipped(cluster: ShardedEncipheredDatabase) -> tuple[int, int]:
     )
 
 
+def _full_ship_bytes(cluster: ShardedEncipheredDatabase) -> int:
+    """Platter bytes a full re-ship of every stale replica would move now."""
+    procs = cluster._procs
+    if procs is None:
+        return 0
+    return sum(
+        spec_from_shard(shard, i, _sub_factory, _cipher_factory).payload_bytes
+        for i, shard in enumerate(cluster.shards)
+        if procs.epochs_sent[i] != cluster._shard_epochs[i]
+    )
+
+
 # -- part 1: bytes shipped per single-key write ----------------------------
 
 
 def _write_read_pingpong(items):
-    """One re-sync per write, measured for delta vs full-ship arms."""
+    """One re-sync per write: delta ships vs the computed full re-ship."""
     taken = {k for k, _ in items}
     fresh = [k for k in range(DESIGN.v) if k not in taken][:NUM_WRITES]
-    out = {}
     results = {}
-    for arm in ("processes", "processes-full"):
+    for arm in ARMS:
         cluster = _new_cluster(arm)
         try:
             cluster.bulk_load(items)
             cluster.range_search(0, DESIGN.v)  # replicas established
             _reset_sync_stats(cluster)
             transcript = []
+            full_bytes = 0
             for i, key in enumerate(fresh):
                 cluster.insert(key, b"w%d" % i)
+                full_bytes += _full_ship_bytes(cluster)
                 transcript.append(cluster.range_search(0, DESIGN.v))
-            ships, shipped = _shipped(cluster)
-            out[arm] = {
-                "writes": len(fresh),
-                "ships": ships,
-                "bytes": shipped,
-                "bytes_per_write": shipped / len(fresh),
-            }
+            if arm == "processes":
+                ships, shipped = _shipped(cluster)
+                delta = {
+                    "writes": len(fresh),
+                    "ships": ships,
+                    "bytes": shipped,
+                    "bytes_per_write": shipped / len(fresh),
+                }
+                full = {
+                    "writes": len(fresh),
+                    "ships": ships,
+                    "bytes": full_bytes,
+                    "bytes_per_write": full_bytes / len(fresh),
+                }
             results[arm] = transcript
         finally:
             cluster.close()
-    assert results["processes"] == results["processes-full"], (
-        "delta-synced replicas answered differently from full-shipped ones"
+    assert results["processes"] == results["serial"], (
+        "delta-synced replicas answered differently from the serial executor"
     )
-    return out
+    return {"processes": delta, "full-ship": full}
 
 
 # -- part 2: mixed workloads through every arm -----------------------------
 
 
-def _replay(cluster, ops) -> float:
-    start = time.perf_counter()
+def _replay(cluster, ops) -> tuple[float, int]:
+    """(wall seconds of the ops alone, computed full re-ship bytes)."""
+    elapsed, full_bytes = 0.0, 0
     for op in ops:
+        if op[0] == "range":
+            full_bytes += _full_ship_bytes(cluster)
+        start = time.perf_counter()
         if op[0] == "range":
             cluster.range_search(op[1], op[2])
         elif op[0] == "put":
             cluster.insert(op[1], op[2])
         else:
             cluster.delete(op[1])
-    return time.perf_counter() - start
+        elapsed += time.perf_counter() - start
+    return elapsed, full_bytes
 
 
 def _scenarios(items):
@@ -163,7 +191,7 @@ def _scenarios(items):
                 cluster.bulk_load(items)
                 cluster.range_search(0, DESIGN.v)  # replicas established
                 _reset_sync_stats(cluster)
-                elapsed = _replay(cluster, ops)
+                elapsed, full_bytes = _replay(cluster, ops)
                 ships, shipped = _shipped(cluster)
                 writes = sum(1 for op in ops if op[0] != "range")
                 rows[name][arm] = {
@@ -173,6 +201,12 @@ def _scenarios(items):
                     "bytes_shipped": shipped,
                     "bytes_per_write": shipped / writes if writes else 0.0,
                 }
+                if arm == "processes":
+                    rows[name]["full-ship"] = {
+                        "resyncs": ships,
+                        "bytes_shipped": full_bytes,
+                        "bytes_per_write": full_bytes / writes if writes else 0.0,
+                    }
                 finals.setdefault(name, {})[arm] = cluster.range_search(
                     0, DESIGN.v
                 )
@@ -228,49 +262,47 @@ def test_c11_mixed_workload(benchmark, reporter):
 
     pingpong = benchmark(lambda: _write_read_pingpong(items))
     reduction = (
-        pingpong["processes-full"]["bytes_per_write"]
+        pingpong["full-ship"]["bytes_per_write"]
         / pingpong["processes"]["bytes_per_write"]
     )
     reporter.table(
         f"{NUM_WRITES} single-key writes, each followed by a full range "
-        f"fan-out ({NUM_KEYS} keys, {NUM_SHARDS} shards); both arms "
-        "returned byte-identical results",
+        f"fan-out ({NUM_KEYS} keys, {NUM_SHARDS} shards); results "
+        "byte-identical to the serial executor's",
         ["sync protocol", "re-syncs", "bytes shipped", "bytes/write"],
         [
             ["delta (journal-backed)",
              pingpong["processes"]["ships"],
              f"{pingpong['processes']['bytes']:,}",
              f"{pingpong['processes']['bytes_per_write']:,.0f}"],
-            ["full re-ship (PR-4 baseline)",
-             pingpong["processes-full"]["ships"],
-             f"{pingpong['processes-full']['bytes']:,}",
-             f"{pingpong['processes-full']['bytes_per_write']:,.0f}"],
+            ["full re-ship (computed from ShardSpec.payload_bytes)",
+             pingpong["full-ship"]["ships"],
+             f"{pingpong['full-ship']['bytes']:,}",
+             f"{pingpong['full-ship']['bytes_per_write']:,.0f}"],
         ],
     )
     assert reduction >= 5.0, (
         f"delta sync only cut bytes/write by {reduction:.1f}x (need >= 5x)"
     )
-    assert (
-        pingpong["processes"]["bytes"] < pingpong["processes-full"]["bytes"]
-    )
+    assert pingpong["processes"]["bytes"] < pingpong["full-ship"]["bytes"]
 
     scenario_rows = _scenarios(items)
     for name, per_arm in scenario_rows.items():
         reporter.table(
             f"scenario {name} ({int(SCENARIOS[name] * 100)}% reads, "
             f"{NUM_OPS} ops); results and cipher totals identical across "
-            "arms",
+            "executors; full-ship is the computed re-ship baseline",
             ["executor", "ops/s", "re-syncs", "bytes shipped", "bytes/write"],
             [
                 [arm,
-                 f"{row['ops_per_s']:.1f}",
+                 f"{row['ops_per_s']:.1f}" if "ops_per_s" in row else "-",
                  row["resyncs"],
                  f"{row['bytes_shipped']:,}",
                  f"{row['bytes_per_write']:,.0f}"]
                 for arm, row in per_arm.items()
             ],
         )
-        full = per_arm["processes-full"]
+        full = per_arm["full-ship"]
         delta = per_arm["processes"]
         if full["bytes_shipped"]:
             assert delta["bytes_shipped"] < full["bytes_shipped"], name
@@ -296,7 +328,7 @@ def test_c11_mixed_workload(benchmark, reporter):
         "single_key_writes": {
             "writes": NUM_WRITES,
             "delta": pingpong["processes"],
-            "full_baseline": pingpong["processes-full"],
+            "full_baseline": pingpong["full-ship"],
             "bytes_per_write_reduction": reduction,
             "results_identical": True,
         },

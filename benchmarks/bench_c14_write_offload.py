@@ -8,8 +8,8 @@ work and tree reorganisation on the worker's interpreter), with only the
 resulting :class:`~repro.storage.journal.ShardDelta` shipped back for a
 parent-side apply.
 
-1. **Parity.**  The same deterministic batch workload on the ``serial``,
-   ``threads`` and ``processes`` executors must end byte-identical --
+1. **Parity.**  The same deterministic batch workload on the ``serial``
+   and ``processes`` executors must end byte-identical --
    every shard's node and record platters compared raw -- with identical
    query results and identical cluster-wide cipher-operation totals
    (offloading moves the work, it must not change the work).
@@ -49,7 +49,7 @@ BATCH = int(os.environ.get("C14_BATCH", "96"))
 FLOOR = float(os.environ.get("C14_FLOOR", "1.5"))
 WALL_FLOOR = float(os.environ.get("C14_WALL_FLOOR", "1.2"))
 NUM_SHARDS = 4
-ARMS = ("serial", "threads", "processes")
+ARMS = ("serial", "processes")
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:
@@ -163,14 +163,13 @@ def test_c14_write_offload(benchmark, reporter):
     wall = {arm: runs[arm][0] for arm in ARMS}
 
     # -- parity ----------------------------------------------------------
-    for arm in ("threads", "processes"):
-        assert runs[arm][1] == runs["serial"][1], f"{arm} results differ"
-        assert runs[arm][2] == runs["serial"][2], (
-            f"{arm} did different cipher work than serial"
-        )
-        assert runs[arm][3] == runs["serial"][3], (
-            f"{arm} platters are not byte-identical to serial"
-        )
+    assert runs["processes"][1] == runs["serial"][1], "results differ"
+    assert runs["processes"][2] == runs["serial"][2], (
+        "processes did different cipher work than serial"
+    )
+    assert runs["processes"][3] == runs["serial"][3], (
+        "process platters are not byte-identical to serial"
+    )
 
     # -- offload accounting ---------------------------------------------
     sync = runs["processes"][4]

@@ -12,17 +12,13 @@ PR 9's two latency plays, measured against their blocking controls:
    identical results and identical cipher-operation totals (readahead
    moves fetches earlier; it must not change the paper's cost model).
 2. **Group commit.**  8 concurrent committers on a ``FileBackend`` with
-   a modeled per-fsync cost (``C15_FSYNC_LATENCY_S``): under group
-   commit the staged commits share WAL rounds -- one frame, one data
-   fsync, one header flip per round -- instead of paying the full fsync
-   set each.  Acceptance: >= ``C15_COMMIT_FLOOR``x commits/s over the
-   per-commit-fsync control, every committed key durable after reopen,
-   and a single-threaded grouped run byte-identical to serial.
-3. **Notes: single-shard offload relief.**  With
-   ``offload_single_shard=True`` the process executor accepts one-shard
-   batches; the parent thread's wall time per batch is reported next to
-   the parent-side control as the measured "parent relief" (reported,
-   not asserted -- it depends on host parallelism).
+   a modeled per-fsync cost (``C15_FSYNC_LATENCY_S``): under the
+   database's group commit, committers stage under the write lock and
+   one leader syncs both devices for every commit staged so far --
+   one sync round instead of one per commit.  Acceptance: >=
+   ``C15_COMMIT_FLOOR``x commits/s over the per-commit-fsync control,
+   every committed key durable after reopen, and a single-threaded
+   grouped run byte-identical to serial.
 
 ``C15_N``, ``C15_SCANS``, ``C15_COMMITTERS``, ``C15_COMMITS`` shrink
 the workload for CI smoke runs.
@@ -35,16 +31,13 @@ import random
 import threading
 import time
 
-from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.designs.multipliers import non_multiplier_units
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(37)  # v = 1407
-UNITS = non_multiplier_units(DESIGN)
 
 NUM_KEYS = int(os.environ.get("C15_N", "400"))
 SCANS = int(os.environ.get("C15_SCANS", "3"))
@@ -54,17 +47,8 @@ COMMITTERS = int(os.environ.get("C15_COMMITTERS", "8"))
 COMMITS_EACH = int(os.environ.get("C15_COMMITS", "3"))
 FSYNC_LATENCY_S = float(os.environ.get("C15_FSYNC_LATENCY_S", "0.002"))
 COMMIT_FLOOR = float(os.environ.get("C15_COMMIT_FLOOR", "3.0"))
-OFFLOAD_BATCH = int(os.environ.get("C15_OFFLOAD_BATCH", "48"))
 
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0xC15))
-
-
-def _sub_factory(shard: int) -> OvalSubstitution:
-    return OvalSubstitution(DESIGN, t=UNITS[shard * 7 % len(UNITS)])
-
-
-def _cipher_factory(shard: int) -> RSA:
-    return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xC150 + shard)))
 
 
 def _keys():
@@ -114,13 +98,8 @@ def _scan_arm(readahead_workers: int):
 # -- 2. group commit ------------------------------------------------------
 
 
-def _commit_backend(tmp_path, name, group_commit):
-    return FileBackend(
-        tmp_path / name,
-        fsync=True,
-        group_commit=group_commit,
-        fsync_latency_s=FSYNC_LATENCY_S,
-    )
+def _commit_backend(tmp_path, name):
+    return FileBackend(tmp_path / name, fsync=True, fsync_latency_s=FSYNC_LATENCY_S)
 
 
 def _new_commit_db(backend, group_commit):
@@ -130,15 +109,13 @@ def _new_commit_db(backend, group_commit):
         backend=backend,
         block_size=512,
         autocommit=False,
-        # both layers coalesce: committers stage under the db write lock
-        # and a leader flushes, and the platters share WAL rounds
         group_commit=group_commit,
     )
 
 
 def _commit_arm(tmp_path, name, group_commit):
     """COMMITTERS threads, COMMITS_EACH insert+commit pairs each."""
-    db = _new_commit_db(_commit_backend(tmp_path, name, group_commit), group_commit)
+    db = _new_commit_db(_commit_backend(tmp_path, name), group_commit)
     keys = _keys()
     barrier = threading.Barrier(COMMITTERS)
     errors = []
@@ -163,15 +140,14 @@ def _commit_arm(tmp_path, name, group_commit):
         t.join()
     wall = time.perf_counter() - start
     assert not errors, errors
-    snap = db.stats()["durability"]
     fsyncs = db.disk.stats.fsyncs + db.records.disk.stats.fsyncs
-    rounds = snap["node"]["group_rounds"] + snap["records"]["group_rounds"]
+    rounds = db.stats()["commit_group"]["rounds"]
     db.close()
 
     survivor = EncipheredDatabase.reopen_from_backend(
         OvalSubstitution(DESIGN, t=5),
         RSA(KEYPAIR),
-        _commit_backend(tmp_path, name, group_commit),
+        _commit_backend(tmp_path, name),
     )
     committed = COMMITTERS * COMMITS_EACH
     assert survivor.tree.size == committed, (
@@ -185,7 +161,7 @@ def _serial_parity(tmp_path):
     """Single-threaded grouped vs serial: byte-identical platters."""
     bytes_at_rest = {}
     for name, group in (("parity-serial", False), ("parity-grouped", True)):
-        db = _new_commit_db(_commit_backend(tmp_path, name, group), group)
+        db = _new_commit_db(_commit_backend(tmp_path, name), group)
         for k in sorted(_keys())[:60]:
             db.insert(k, f"p-{k}".encode())
             if k % 5 == 0:
@@ -199,49 +175,6 @@ def _serial_parity(tmp_path):
     assert bytes_at_rest["parity-grouped"] == bytes_at_rest["parity-serial"], (
         "group commit changed the recovered platter bytes"
     )
-
-
-# -- 3. single-shard offload relief (notes) -------------------------------
-
-
-def _offload_relief():
-    """Parent-thread wall time of a one-shard batch: worker vs parent."""
-    walls = {}
-    for arm, offload in (("parent-side", False), ("offloaded", True)):
-        cluster = ShardedEncipheredDatabase.create(
-            _sub_factory,
-            _cipher_factory,
-            num_shards=2,
-            block_size=512,
-            min_degree=2,
-            executor="processes",
-            offload_single_shard=offload,
-        )
-        try:
-            shard0 = [
-                k for k in range(DESIGN.v) if cluster.router.shard_for(k) == 0
-            ]
-            batch = [
-                (k, f"o-{k}".encode())
-                for k in random.Random(0xC152).sample(shard0, OFFLOAD_BATCH)
-            ]
-            cluster.bulk_load(
-                [(k, b"seed") for k in random.Random(0xC153).sample(
-                    [k for k in range(DESIGN.v)
-                     if cluster.router.shard_for(k) == 1], 16)]
-            )
-            cluster.range_search(0, 40)  # warm the pool, ship worker specs
-            start = time.perf_counter()
-            cluster.put_many(batch)
-            walls[arm] = time.perf_counter() - start
-            sync = cluster.sync_stats()
-            if offload:
-                assert sync["offloaded_batches"] > 0, (
-                    "single-shard batch was not offloaded despite the opt-in"
-                )
-        finally:
-            cluster.close()
-    return walls
 
 
 def test_c15_io_overlap(benchmark, reporter, tmp_path):
@@ -281,10 +214,6 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
     assert group_fsyncs < serial_fsyncs, "coalescing saved no fsyncs"
     _serial_parity(tmp_path)
 
-    # -- single-shard offload relief (notes only) -------------------------
-    relief = _offload_relief()
-    relief_ratio = relief["parent-side"] / relief["offloaded"]
-
     reporter.table(
         f"range scans over {NUM_KEYS} keys, {LATENCY_S * 1e3:.1f} ms/device "
         f"read, {SCANS} cold scans per arm; results and cipher totals "
@@ -309,20 +238,6 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
              group_fsyncs, f"{commit_speedup:,.2f}x"],
         ],
     )
-    reporter.table(
-        f"single-shard offload: parent wall time of one {OFFLOAD_BATCH}-key "
-        "one-shard put_many through the process executor (notes: relief "
-        "depends on host parallelism, not asserted)",
-        ["arm", "parent wall-clock", "relief"],
-        [
-            ["parent-side (default gate)",
-             f"{relief['parent-side'] * 1e3:,.1f} ms", "1.00x"],
-            ["offloaded (opt-in)",
-             f"{relief['offloaded'] * 1e3:,.1f} ms",
-             f"{relief_ratio:,.2f}x"],
-        ],
-    )
-
     reporter.metrics({
         "keys": NUM_KEYS,
         "scans": SCANS,
@@ -337,8 +252,6 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
         "commit_fsyncs": {"serial": serial_fsyncs, "grouped": group_fsyncs},
         "group_rounds": group_rounds,
         "commit_speedup": commit_speedup,
-        "offload_relief_wall_s": relief,
-        "offload_relief_ratio": relief_ratio,
         "parity": {
             "scan_results_identical": True,
             "scan_ciphers_identical": True,

@@ -11,6 +11,11 @@ machine-readable ``benchmarks/results/<id>.json`` next to the ``.txt``,
 so a performance trajectory can be tracked across PRs by diffing or
 plotting the JSON files.
 
+A smoke run -- any environment variable with the experiment's prefix
+set, e.g. ``C11_N=400`` for ``c11_mixed_workload`` -- writes
+``<id>.smoke.txt``/``<id>.smoke.json`` instead (git-ignored), so a
+shrunken run never overwrites the committed full-size results.
+
 Run with::
 
     pytest benchmarks/ --benchmark-only
@@ -19,6 +24,7 @@ Run with::
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -46,6 +52,8 @@ class Reporter:
 
     def __init__(self, experiment_id: str) -> None:
         self.experiment_id = experiment_id
+        prefix = experiment_id.split("_")[0].upper() + "_"
+        self.smoke = any(name.startswith(prefix) for name in os.environ)
         self._chunks: list[str] = []
         self._metrics: dict[str, object] = {}
 
@@ -65,11 +73,12 @@ class Reporter:
 
     def flush(self) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
+        stem = self.experiment_id + (".smoke" if self.smoke else "")
         text = f"# Experiment {self.experiment_id}\n\n" + "\n".join(self._chunks)
-        (RESULTS_DIR / f"{self.experiment_id}.txt").write_text(text)
+        (RESULTS_DIR / f"{stem}.txt").write_text(text)
         if self._metrics:
             payload = {"experiment": self.experiment_id, "metrics": self._metrics}
-            (RESULTS_DIR / f"{self.experiment_id}.json").write_text(
+            (RESULTS_DIR / f"{stem}.json").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
         print(f"\n{text}")

@@ -14,7 +14,7 @@ platters cannot correlate block frequencies across shards.
   scope names) a durable backend stores beside its platters;
 * :mod:`repro.cluster.sharded` -- the
   :class:`~repro.cluster.sharded.ShardedEncipheredDatabase` engine
-  (pluggable serial/thread/process fan-out, per-shard key derivation,
+  (serial or process fan-out, per-shard key derivation,
   cross-shard transactions);
 * :mod:`repro.cluster.executor` -- the process-pool backend: picklable
   shard specs, one worker process per shard, merged counter rollups;

@@ -1,15 +1,15 @@
 """Process-pool shard execution: fan-out that sidesteps the GIL.
 
-Benchmark C8 measured the thread-pool fan-out winning ~1x wall-clock
-despite a ~2.9x shorter critical path: pure-Python DES serialises on the
-GIL, so threads only overlap the (simulated, instant) I/O.  Shards are
-already share-nothing -- each owns its platters, substitution secret and
+Pure-Python DES serialises on the GIL, so threads cannot shorten a
+fan-out's wall clock (benchmark C8 measured a thread pool at ~1x despite
+a ~2.9x shorter critical path).  Shards are already share-nothing -- each owns its platters, substitution secret and
 derived keys -- which is exactly the shape that *processes* parallelise.
 
 This module supplies the cluster's ``executor="processes"`` backend:
 
 * :class:`ShardSpec` -- a picklable description of one shard (platter
-  bytes at rest, derived keys, deterministic factories, cache config)
+  bytes at rest, derived keys, deterministic factories, its
+  :class:`~repro.core.config.DatabaseConfig`)
   from which a worker process rebuilds the shard via
   :meth:`~repro.core.database.EncipheredDatabase.reopen`.
 * :func:`_shard_worker` -- the worker loop: one process per shard,
@@ -33,8 +33,8 @@ per epoch, and a stale worker receives a
 :class:`~repro.storage.journal.ShardDelta` -- just those blocks'
 at-rest bytes plus the small metadata -- instead of the whole platter.
 The full ship survives as the fallback (first contact, respawned
-worker after a crash, journal truncated past the worker's epoch) and as
-the measurable baseline (``delta_sync=False``, benchmark C11).
+worker after a crash, journal truncated past the worker's epoch);
+:attr:`ShardSpec.payload_bytes` is benchmark C11's full-ship baseline.
 
 Two sources of truth are avoided by construction: the parent's shards
 remain authoritative; a worker holds a *replica* that is re-synced by
@@ -71,6 +71,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.cluster.stats import subtract_counter_dicts
+from repro.core.config import DatabaseConfig
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
 from repro.crypto.base import IntegerCipher
@@ -80,7 +81,6 @@ from repro.exceptions import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.obs import ObsConfig
 from repro.storage.disk import SimulatedDisk
 from repro.substitution.base import KeySubstitution
 
@@ -111,13 +111,10 @@ class ShardSpec:
     node_block_size: int
     node_blocks: list[bytes | None]
     record_state: dict[str, object]
-    cache_blocks: int
-    decoded_node_cache_blocks: int
-    decoded_node_cache_bytes: int
-    #: The parent shard's observability switch, so the worker's replica
-    #: instruments identically -- its histogram/heat deltas then merge
-    #: into one coherent cross-process picture.
-    obs_config: ObsConfig | None = None
+    #: The parent shard's resolved knobs, so the replica caches,
+    #: commits and instruments exactly like its parent -- its
+    #: histogram/heat deltas then merge into one coherent picture.
+    config: DatabaseConfig
 
     @property
     def payload_bytes(self) -> int:
@@ -139,10 +136,7 @@ class ShardSpec:
             disk,
             records,
             super_key=self.super_key,
-            cache_blocks=self.cache_blocks,
-            decoded_node_cache_blocks=self.decoded_node_cache_blocks,
-            decoded_node_cache_bytes=self.decoded_node_cache_bytes,
-            observability=self.obs_config,
+            config=self.config,
         )
 
 
@@ -191,10 +185,7 @@ def spec_from_shard(
             node_block_size=shard.disk.block_size,
             node_blocks=shard.disk.export_state(),
             record_state=shard.records.export_state(),
-            cache_blocks=shard.tree.pager.capacity,
-            decoded_node_cache_blocks=shard.tree.pager.decoded.capacity,
-            decoded_node_cache_bytes=shard.tree.pager.decoded.max_bytes,
-            obs_config=shard.obs.config,
+            config=shard.config,
         )
 
 
@@ -270,6 +261,8 @@ def _shard_worker(conn) -> None:
             elif op == "bulk_load":
                 _chaos_tick()
                 db.bulk_load(payload)
+                if not db.autocommit:
+                    db.commit()  # the shipped platter must be committed state
                 conn.send((
                     "ok",
                     (
@@ -339,18 +332,8 @@ def _shard_worker(conn) -> None:
 
 
 def _zero_nonadditive(delta: dict[str, object]) -> dict[str, object]:
-    """Zero the leaves that are not summable counters.
-
-    A worker's ``size`` mirrors the parent's (summing would double it),
-    and ``bytes_cached`` is a *gauge* of the worker replica's own cache
-    footprint -- a delta of it is meaningless at the cluster level and
-    could even push the parent's gauge negative.
-    """
-    delta = {**delta, "size": 0}
-    decoded = delta.get("node_decoded_cache")
-    if isinstance(decoded, dict) and "bytes_cached" in decoded:
-        delta["node_decoded_cache"] = {**decoded, "bytes_cached": 0}
-    return delta
+    """Zero ``size``: a worker's mirrors the parent's (summing would double it)."""
+    return {**delta, "size": 0}
 
 
 class ProcessShardExecutor:
@@ -367,7 +350,6 @@ class ProcessShardExecutor:
         substitution_factory: Callable[[int], KeySubstitution],
         pointer_cipher_factory: Callable[[int], IntegerCipher],
         num_shards: int,
-        delta_sync: bool = True,
         op_deadline_s: float | None = None,
         respawn_limit: int = 3,
     ) -> None:
@@ -385,11 +367,6 @@ class ProcessShardExecutor:
         #: the count -- the budget bounds *consecutive* failures, not
         #: lifetime ones.
         self.respawn_limit = respawn_limit
-        #: When True (default), a stale worker is caught up by shipping
-        #: only the blocks its shard's journals prove changed; False
-        #: forces the PR-4 behaviour (full state re-ship on every epoch
-        #: mismatch) -- the baseline arm of benchmark C11.
-        self.delta_sync = delta_sync
         #: Ship accounting for benchmark C11 and ``cluster.sync_stats()``:
         #: how many syncs went full vs delta, and the platter bytes moved
         #: by each kind.
@@ -440,8 +417,7 @@ class ProcessShardExecutor:
         # parent shard's HeatMap.
         self._heat_base: list[dict[int, int]] = [{} for _ in range(num_shards)]
         # One request/reply may be in flight per pipe; concurrent cluster
-        # calls (the thread backend's bread and butter) must not
-        # interleave frames, so parent-side dispatch is serialised.
+        # calls from several client threads must not interleave frames, so parent-side dispatch is serialised.
         # Reentrant: map() nests sync() nests harvest().
         self._dispatch_lock = threading.RLock()
 
@@ -606,8 +582,7 @@ class ProcessShardExecutor:
         A worker that already holds *some* epoch is caught up with a
         :class:`~repro.storage.journal.ShardDelta` -- only the blocks
         the shard's journals sealed since that epoch, O(changes) instead
-        of O(database) -- when ``delta_sync`` is on and the journals can
-        prove completeness.  Everything else (first contact, respawned
+        of O(database) -- when the journals can prove completeness.  Everything else (first contact, respawned
         worker, truncated journal, uncommitted parent state) takes the
         full-spec path, whose own guards still apply.
         """
@@ -622,7 +597,7 @@ class ProcessShardExecutor:
             # the stale replica's work must keep counting (heat included)
             self.harvest(index, shard)
             delta = None
-            if self.delta_sync and self.epochs_sent[index] >= 0:
+            if self.epochs_sent[index] >= 0:
                 delta = shard.collect_delta(self.epochs_sent[index], epoch)
             if delta is not None:
                 delta.index = index
@@ -639,7 +614,7 @@ class ProcessShardExecutor:
                         index,
                         self._substitution_factory,
                         self._pointer_cipher_factory,
-                        checkpoint_epoch=epoch if self.delta_sync else None,
+                        checkpoint_epoch=epoch,
                     )
                     try:
                         self._base[index] = self._request(index, "open", spec)

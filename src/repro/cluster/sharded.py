@@ -10,13 +10,12 @@ different keys on every shard.
 
 Routing happens on plaintext keys inside the trusted boundary (see
 :mod:`repro.cluster.router`).  Cross-shard operations -- ``range_search``
-fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads -- run on a
-pluggable executor backend (``executor=``):
+fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads -- run on
+one of two executor backends (``executor=``):
 
-* ``"threads"`` (default) -- a shard-count-bounded thread pool;
-  per-shard reader--writer locks let parallel readers proceed while
-  each shard serialises its writers.  Overlaps I/O, but pure-Python
-  cryptography serialises on the GIL (benchmark C8).
+* ``"serial"`` (default) -- a plain loop on the calling thread.  Every
+  shard runs even when one raises; the first error is re-raised after
+  the loop, so sibling shards' work lands and is sealed.
 * ``"processes"`` -- one worker process per shard (see
   :mod:`repro.cluster.executor`): each worker rebuilds its shard from a
   picklable spec and runs the fan-out's cryptography on its own
@@ -25,8 +24,15 @@ pluggable executor backend (``executor=``):
   module-level (picklable) factories.  Single-key operations and
   transactions stay on the calling process; worker replicas are
   re-synced automatically after any cluster-level mutation.
-* ``"serial"`` -- a plain loop on the calling thread, the baseline the
-  benchmarks compare against.
+
+There is no thread pool: pure-Python cryptography serialises on the
+GIL, and a pool measured no faster than the plain loop on any workload
+of the repo benchmark.  Per-shard reader--writer locks still let
+concurrent *client* threads share the cluster.
+
+Every shard runs with the same :class:`~repro.core.config.
+DatabaseConfig`: the constructors take it whole (``config=``) or as
+keyword arguments naming its fields.
 
 Key derivation
 --------------
@@ -44,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -59,6 +64,7 @@ from repro.cluster.health import (
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter, ShardRouter
 from repro.cluster.stats import ClusterStats, merge_counter_dicts
+from repro.core.config import DatabaseConfig
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
 from repro.crypto.base import IntegerCipher
@@ -72,7 +78,6 @@ from repro.exceptions import (
     TransientIOError,
     WorkerCrashError,
 )
-from repro.obs import ObsConfig
 from repro.storage.backend import StorageBackend
 from repro.storage.device import BlockDevice
 from repro.substitution.base import KeySubstitution
@@ -124,17 +129,14 @@ class ShardedEncipheredDatabase:
     strictly harder than against one database.
     """
 
-    _EXECUTORS = ("serial", "threads", "processes")
+    _EXECUTORS = ("serial", "processes")
 
     def __init__(
         self,
         shards: Sequence[EncipheredDatabase],
         router: ShardRouter,
-        max_workers: int | None = None,
-        executor: str = "threads",
+        executor: str = "serial",
         shard_factories: tuple | None = None,
-        delta_sync: bool = True,
-        offload_single_shard: bool = False,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
     ) -> None:
@@ -157,9 +159,7 @@ class ShardedEncipheredDatabase:
         self.router = router
         self.executor = executor
         self._shard_factories = shard_factories
-        self._max_workers = max_workers or len(self.shards)
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
+        self._procs_lock = threading.Lock()
         self._txn_thread: int | None = None
         # Process-backend replica consistency: each cluster-level
         # mutation bumps the touched shards' epochs (sealing the shard's
@@ -170,14 +170,6 @@ class ShardedEncipheredDatabase:
         # one mutex per shard making "seal journals, then publish the
         # new epoch" atomic against sibling writers (see _note_writes)
         self._epoch_locks = [threading.Lock() for _ in self.shards]
-        self._delta_sync = delta_sync
-        #: With the process executor, ship single-shard batches to a
-        #: worker too (default off: the historical gate required >1
-        #: shard).  Worth enabling when the parent thread's own work --
-        #: routing, serving reads -- is the bottleneck and a batch's
-        #: cipher/tree cost dwarfs the delta shipping cost; benchmark
-        #: C15 records the measured parent-thread relief either way.
-        self.offload_single_shard = offload_single_shard
         self._procs: ProcessShardExecutor | None = None
         #: Fault-tolerance plane (PR 10): one health state machine per
         #: shard, fed by operation outcomes.  Quarantined shards make
@@ -207,37 +199,25 @@ class ShardedEncipheredDatabase:
         super_key: bytes = _DEFAULT_SUPER_KEY,
         data_key: bytes = _DEFAULT_DATA_KEY,
         record_size: int = 120,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        max_workers: int | None = None,
-        record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
-        executor: str = "threads",
-        delta_sync: bool = True,
-        offload_single_shard: bool = False,
+        executor: str = "serial",
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         backend: StorageBackend | None = None,
-        observability: ObsConfig | None = None,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "ShardedEncipheredDatabase":
         """Initialise ``num_shards`` fresh shards with derived secrets.
 
-        ``record_cache_blocks``/``decoded_node_cache_blocks`` (and the
-        byte-budget variant ``decoded_node_cache_bytes``) size each
-        shard's *private* plaintext read caches (defaults off).  Private
-        caches give the fan-out per-shard cache locality: each worker
-        warms and hits only the shard it is scanning, with no
-        cross-shard invalidation traffic and no shared-cache lock.
+        ``config`` and/or ``knobs`` (its field names as keywords) set
+        every shard's runtime knobs -- see
+        :class:`~repro.core.config.DatabaseConfig`.  Caches are
+        *private* per shard: each shard warms and hits only its own,
+        with no cross-shard invalidation traffic and no shared-cache
+        lock.
 
-        ``executor`` selects the fan-out backend (``"serial"``,
-        ``"threads"``, ``"processes"``); the process backend requires
-        both factories to be picklable module-level functions.
-        ``delta_sync`` (default on) lets stale worker replicas catch up
-        incrementally -- only journal-proven changed blocks ship;
-        ``False`` restores the full-state re-ship on every parent write,
-        which benchmark C11 uses as its baseline arm.
+        ``executor`` selects the fan-out backend (``"serial"`` or
+        ``"processes"``); the process backend requires both factories
+        to be picklable module-level functions.
 
         ``backend`` places every shard's devices on a
         :class:`~repro.storage.backend.StorageBackend`: shard ``i``
@@ -249,6 +229,7 @@ class ShardedEncipheredDatabase:
         secrets.  ``None`` keeps the historical in-memory devices (and
         writes no manifest).
         """
+        config = DatabaseConfig.of(config, **knobs)
         substitutions = [substitution_factory(i) for i in range(num_shards)]
         scopes = [f"shard-{i:03d}" for i in range(num_shards)]
         shards = [
@@ -260,14 +241,8 @@ class ShardedEncipheredDatabase:
                 super_key=derive_shard_key(super_key, _SUPER_LABEL, i),
                 data_key=derive_shard_key(data_key, _DATA_LABEL, i),
                 record_size=record_size,
-                cache_blocks=cache_blocks,
-                write_back=write_back,
-                autocommit=autocommit,
-                record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
                 backend=backend.scoped(scopes[i]) if backend is not None else None,
-                observability=observability,
+                config=config,
             )
             for i in range(num_shards)
         ]
@@ -288,11 +263,8 @@ class ShardedEncipheredDatabase:
         return cls(
             shards,
             resolved,
-            max_workers=max_workers,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -306,20 +278,11 @@ class ShardedEncipheredDatabase:
         *,
         router: ShardRouter | str = "hash",
         super_key: bytes = _DEFAULT_SUPER_KEY,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        max_workers: int | None = None,
-        record_cache_blocks: int | None = None,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
-        validate_routing: bool = True,
-        executor: str = "threads",
-        delta_sync: bool = True,
-        offload_single_shard: bool = False,
+        executor: str = "serial",
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
-        observability: ObsConfig | None = None,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "ShardedEncipheredDatabase":
         """Rebuild a cluster from each shard's platters and the secrets.
 
@@ -329,18 +292,18 @@ class ShardedEncipheredDatabase:
         re-derived key on the way up, and every cache starts cold.  As
         with :meth:`EncipheredDatabase.reopen`, each record store keeps
         its configured cache capacity unless ``record_cache_blocks``
-        overrides it (``None`` keeps, ``0`` forces off), while the
-        rebuilt pagers take ``decoded_node_cache_blocks`` directly.
+        overrides it (``None`` keeps, ``0`` forces off).
 
-        Unless ``validate_routing=False``, the supplied ``router`` is
-        then checked against the actual key placement: every key on
-        every shard must route back to that shard.  A cluster reopened
-        with the wrong strategy, the wrong boundaries, or parts out of
-        order would otherwise *silently mis-route* -- point reads
-        missing keys that are on the platters, range routers skipping
-        populated shards -- so a mismatch fails fast with
-        :class:`~repro.exceptions.StorageError` instead.
+        The supplied ``router`` is then checked against the actual key
+        placement: every key on every shard must route back to that
+        shard.  A cluster reopened with the wrong strategy, the wrong
+        boundaries, or parts out of order would otherwise *silently
+        mis-route* -- point reads missing keys that are on the
+        platters, range routers skipping populated shards -- so a
+        mismatch fails fast with :class:`~repro.exceptions.StorageError`
+        instead.
         """
+        config = DatabaseConfig.of(config, **knobs)
         substitutions = [substitution_factory(i) for i in range(len(parts))]
         shards = [
             EncipheredDatabase.reopen(
@@ -349,30 +312,14 @@ class ShardedEncipheredDatabase:
                 disk,
                 records,
                 super_key=derive_shard_key(super_key, _SUPER_LABEL, i),
-                cache_blocks=cache_blocks,
-                write_back=write_back,
-                autocommit=autocommit,
-                record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
-                observability=observability,
+                config=config,
             )
             for i, (disk, records) in enumerate(parts)
         ]
         resolved = _resolve_router(router, len(parts), substitutions[0])
-        if validate_routing:
-            cls._validate_routing(shards, resolved)
-            for shard in shards:
-                shard._make_cold()  # the validation walk must not pre-warm
-        return cls(
-            shards,
-            resolved,
-            max_workers=max_workers,
-            executor=executor,
-            shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
-            degraded_reads=degraded_reads,
+        return cls._validated(
+            shards, resolved, (substitution_factory, pointer_cipher_factory),
+            executor=executor, degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
 
@@ -385,20 +332,11 @@ class ShardedEncipheredDatabase:
         *,
         super_key: bytes = _DEFAULT_SUPER_KEY,
         data_key: bytes = _DEFAULT_DATA_KEY,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        max_workers: int | None = None,
-        record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
-        validate_routing: bool = True,
-        executor: str = "threads",
-        delta_sync: bool = True,
-        offload_single_shard: bool = False,
+        executor: str = "serial",
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
-        observability: ObsConfig | None = None,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "ShardedEncipheredDatabase":
         """Rebuild a cluster from its backend and the base secrets alone.
 
@@ -410,11 +348,12 @@ class ShardedEncipheredDatabase:
         shard reopens from its scoped backend via
         :meth:`EncipheredDatabase.reopen_from_backend` (replaying any
         crash-interrupted WAL epochs and rescanning record metadata on
-        the way), and unless ``validate_routing=False`` the
-        reconstructed router is still checked against the actual key
-        placement -- the manifest authenticates the *configuration*,
-        the validation cross-checks it against the *data*.
+        the way), and the reconstructed router is still checked against
+        the actual key placement -- the manifest authenticates the
+        *configuration*, the validation cross-checks it against the
+        *data*.
         """
+        config = DatabaseConfig.of(config, **knobs)
         manifest = ClusterManifest.decipher(backend.load_manifest(), super_key)
         substitutions = [
             substitution_factory(i) for i in range(manifest.num_shards)
@@ -428,32 +367,30 @@ class ShardedEncipheredDatabase:
                 data_key=derive_shard_key(data_key, manifest.data_label, i),
                 block_size=manifest.block_size,
                 record_size=manifest.record_size,
-                cache_blocks=cache_blocks,
-                write_back=write_back,
-                autocommit=autocommit,
-                record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
-                observability=observability,
+                config=config,
             )
             for i in range(manifest.num_shards)
         ]
-        router = manifest.build_router()
-        if validate_routing:
-            cls._validate_routing(shards, router)
-        for shard in shards:
-            shard._make_cold()  # recovery/validation walks must not pre-warm
-        return cls(
-            shards,
-            router,
-            max_workers=max_workers,
-            executor=executor,
-            shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
-            degraded_reads=degraded_reads,
+        return cls._validated(
+            shards, manifest.build_router(),
+            (substitution_factory, pointer_cipher_factory),
+            executor=executor, degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
+
+    @classmethod
+    def _validated(
+        cls,
+        shards: Sequence[EncipheredDatabase],
+        router: ShardRouter,
+        shard_factories: tuple,
+        **options,
+    ) -> "ShardedEncipheredDatabase":
+        """A reopened cluster, once the router reproduces the placement."""
+        cls._validate_routing(shards, router)
+        for shard in shards:
+            shard._make_cold()  # recovery/validation walks must not pre-warm
+        return cls(shards, router, shard_factories=shard_factories, **options)
 
     @staticmethod
     def _validate_routing(
@@ -494,26 +431,16 @@ class ShardedEncipheredDatabase:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    # -- the thread pool -------------------------------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._executor
+    # -- the process pool ------------------------------------------------
 
     def _process_pool(self) -> ProcessShardExecutor:
-        with self._executor_lock:
+        with self._procs_lock:
             if self._procs is None:
                 substitution_factory, pointer_cipher_factory = self._shard_factories
                 self._procs = ProcessShardExecutor(
                     substitution_factory,
                     pointer_cipher_factory,
                     len(self.shards),
-                    delta_sync=self._delta_sync,
                     op_deadline_s=self.op_deadline_s,
                 )
             return self._procs
@@ -526,8 +453,8 @@ class ShardedEncipheredDatabase:
     def _use_processes(self, shard_ids: Sequence[int]) -> bool:
         """Worker processes pay off only for a true multi-shard fan-out.
 
-        Single-shard work stays on this thread unless
-        ``offload_single_shard`` opts it in; in-transaction work always
+        Single-shard work stays on this thread (benchmark C15 measured
+        shipping it to a worker at 0.78x); in-transaction work always
         stays, and so does any fan-out while a shard holds *uncommitted*
         state (dirty write-back pages or an open shard transaction):
         shipping a spec must never force a commit, and the in-process
@@ -536,7 +463,7 @@ class ShardedEncipheredDatabase:
         """
         return (
             self.executor == "processes"
-            and (len(shard_ids) > 1 or self.offload_single_shard)
+            and len(shard_ids) > 1
             and threading.get_ident() != self._txn_thread
             and not any(
                 shard.has_uncommitted_changes
@@ -658,7 +585,7 @@ class ShardedEncipheredDatabase:
         self.health.record_worker_loss(shard_id, str(exc))
 
     def close(self) -> None:
-        """Commit every shard, release devices and worker threads/processes.
+        """Commit every shard, release devices and worker processes.
 
         On durable backends this closes every shard's platter files
         (after their final sync); on in-memory devices the close is a
@@ -692,10 +619,6 @@ class ShardedEncipheredDatabase:
             except BaseException as exc:
                 if first_error is None and not self.health.is_quarantined(i):
                     first_error = exc
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
         if self._procs is not None:
             # keep the object: its harvested counters still feed stats()
             self._procs.close()
@@ -709,36 +632,21 @@ class ShardedEncipheredDatabase:
         self.close()
 
     def _fan_out(self, fn: Callable[[int], object], shard_ids: Sequence[int]) -> list:
-        """Run ``fn(shard_id)`` for every id, in parallel when it pays.
+        """Run ``fn(shard_id)`` for every id on the calling thread.
 
-        Inside this cluster's :meth:`transaction` the calling thread owns
-        every shard's *write* lock, which pool workers (different
-        threads) could never acquire the read side of -- so the fan-out
-        degrades to a serial loop on the calling thread instead of
-        deadlocking the pool.
-
-        Every task is awaited even when one errors (the first error is
-        re-raised after the drain).  Callers' cleanup relies on this: a
+        Every shard runs even when an earlier one raises; the first
+        error is re-raised after the loop.  Callers rely on this: a
         mutating fan-out (``put_many``, ``bulk_load``) seals the touched
-        shards' change journals in a ``finally``, and sealing while a
-        sibling shard's transaction is still running on a pool thread
-        would split that shard's commit across an epoch boundary --
-        stranding the post-seal bytes in the journal's open set, where
-        no delta sync would ever ship them.
+        shards' change journals in a ``finally``, and each healthy
+        sibling's slice must have landed by then -- per-shard atomicity,
+        not stop-at-first-failure.
         """
-        if (
-            self.executor == "serial"
-            or len(shard_ids) <= 1
-            or threading.get_ident() == self._txn_thread
-        ):
-            return [fn(i) for i in shard_ids]
-        futures = [self._pool().submit(fn, i) for i in shard_ids]
         results: list[object] = []
-        first_error: BaseException | None = None
-        for future in futures:
+        first_error: Exception | None = None
+        for shard_id in shard_ids:
             try:
-                results.append(future.result())
-            except BaseException as exc:
+                results.append(fn(shard_id))
+            except Exception as exc:
                 if first_error is None:
                     first_error = exc
                 results.append(None)
@@ -781,8 +689,8 @@ class ShardedEncipheredDatabase:
         """All ``(key, record)`` pairs with ``lo <= key <= hi``, ascending.
 
         The router prunes the shard set (a :class:`RangeRouter` touches
-        only overlapping sub-ranges); the surviving shards are queried in
-        parallel and their sorted partial results merged.
+        only overlapping sub-ranges); the surviving shards are queried
+        and their sorted partial results merged.
 
         Quarantined shards make the read fail fast with
         :class:`~repro.exceptions.ShardUnavailableError` -- unless the
@@ -881,7 +789,7 @@ class ShardedEncipheredDatabase:
         return finish(out)
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Partition ``(key, record)`` pairs by shard and load in parallel.
+        """Partition ``(key, record)`` pairs by shard and load each slice.
 
         Requires an empty cluster; duplicate keys are rejected before any
         shard is touched (each shard's own loader re-validates its
@@ -990,8 +898,7 @@ class ShardedEncipheredDatabase:
         acquisition, one commit and one epoch bump
         (:meth:`EncipheredDatabase.put_many`), so a burst of k writes
         triggers one replica delta ship per touched shard instead of k
-        re-syncs.  Shards are loaded in parallel on the thread fan-out;
-        with the process executor, each shard's slice is *offloaded* to
+        re-syncs.  With the process executor, each shard's slice is *offloaded* to
         its owning worker -- the mutation executes in the worker (where
         its cipher plane runs on a separate interpreter) and the
         resulting :class:`~repro.storage.journal.ShardDelta` ships back
@@ -1203,12 +1110,7 @@ class ShardedEncipheredDatabase:
 
     # -- cache warming ----------------------------------------------------
 
-    def warm(
-        self,
-        levels: int = 2,
-        hot_record_blocks: int = 0,
-        background: bool = False,
-    ) -> int:
+    def warm(self, levels: int = 2, hot_record_blocks: int = 0) -> int:
         """Pre-decode every shard's top tree levels into its node caches.
 
         Fans out per shard like any read.  ``hot_record_blocks`` asks
@@ -1219,17 +1121,8 @@ class ShardedEncipheredDatabase:
         sync), because that is where process-backend queries actually
         run; their warming work rolls up into ``stats()`` like every
         other worker-side counter.  Returns the total nodes touched.
-
-        ``background=True`` starts each parent shard's warm on its own
-        daemon thread and returns 0 immediately (see
-        :meth:`EncipheredDatabase.warm`); worker replicas are skipped --
-        they warm themselves on their next synced fan-out.
         """
         shard_ids, _ = self.health.partition(range(len(self.shards)))
-        if background:
-            for i in shard_ids:
-                self.shards[i].warm(levels, hot_record_blocks, background=True)
-            return 0
         warmed = sum(
             self._fan_out(
                 lambda i: self.shards[i].warm(levels, hot_record_blocks),
@@ -1279,8 +1172,8 @@ class ShardedEncipheredDatabase:
         two concurrent cluster transactions cannot deadlock on each
         other's write locks) and unwound together: a clean exit commits
         every shard, an exception rolls every shard back.  Fan-out
-        operations called inside the scope run serially on this thread
-        (see :meth:`_fan_out`).
+        operations called inside the scope stay on this thread (see
+        :meth:`_use_processes`).
         """
         committing = False
         try:
@@ -1362,8 +1255,8 @@ class ShardedEncipheredDatabase:
         replicas are merged into their shard's rollup (leaf-wise, like
         every other counter), so the cost model reports every cipher
         operation the cluster performed regardless of which process ran
-        it -- serial, threaded and process runs of the same workload
-        report identical cipher totals.
+        it -- serial and process runs of the same workload report
+        identical cipher totals.
         """
         per_shard = []
         for i, shard in enumerate(self.shards):

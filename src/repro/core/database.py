@@ -79,13 +79,14 @@ report exact totals without a lock on any hot-path increment.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.btree.tree import BTree
 from repro.core.codecs import SubstitutedNodeCodec
+from repro.core.config import DatabaseConfig
 from repro.core.packing import PointerPacking
 from repro.core.records import RecordStore
 from repro.counters import ThreadSafeCounters
@@ -93,7 +94,7 @@ from repro.crypto.base import CountingCipher, IntegerCipher
 from repro.crypto.des import DES, kernel_decisions_snapshot
 from repro.crypto.modes import CBCCipher
 from repro.exceptions import CryptoError, IntegrityError, KeyNotFoundError, StorageError
-from repro.obs import ObsConfig, Observability
+from repro.obs import Observability
 from repro.storage.backend import StorageBackend
 from repro.storage.device import BlockDevice
 from repro.storage.disk import SimulatedDisk
@@ -106,22 +107,9 @@ _MAGIC = b"HSBT1990"
 
 
 class WarmingCounters(ThreadSafeCounters):
-    """Cache-warming work, counted separately from organic traffic.
+    """Cache-warming work, counted separately from organic traffic."""
 
-    ``background_warms``/``background_completed``/``background_failed``
-    track :meth:`EncipheredDatabase.warm` daemon-thread runs: started,
-    finished cleanly, and died (e.g. the database closed underneath a
-    still-running warm -- advisory work, so the error is recorded
-    rather than raised on a thread nobody joins).
-    """
-
-    _FIELDS = (
-        "nodes_warmed",
-        "record_blocks_warmed",
-        "background_warms",
-        "background_completed",
-        "background_failed",
-    )
+    _FIELDS = ("nodes_warmed", "record_blocks_warmed")
 
 
 def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
@@ -177,11 +165,6 @@ class _CommitGroup:
             self._staged += 1
             return self._staged
 
-    def staged(self) -> int:
-        """The newest ticket issued so far."""
-        with self._cond:
-            return self._staged
-
     def flush(self, target: int) -> None:
         """Block until ticket ``target`` is durable, syncing if needed.
 
@@ -234,10 +217,7 @@ class EncipheredDatabase:
         records: RecordStore,
         super_key: bytes,
         tree: BTree,
-        autocommit: bool = True,
-        observability: ObsConfig | Observability | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
+        config: DatabaseConfig,
     ) -> None:
         self.substitution = substitution
         self.pointer_cipher = _counting(pointer_cipher)
@@ -245,6 +225,9 @@ class EncipheredDatabase:
         self.records = records
         self._super_key = super_key
         self.tree = tree
+        #: The knobs this handle runs with, every default made concrete
+        #: (the record cache capacity is the store's actual one).
+        self.config = config.resolved(records.cache.capacity)
         #: The observability plane: latency histograms, span tracing and
         #: heat tracking behind one switch (see :mod:`repro.obs`).  The
         #: database threads its tracer through every layer it owns, so a
@@ -254,10 +237,7 @@ class EncipheredDatabase:
             universe = substitution.key_universe()
         except Exception:
             universe = None
-        if isinstance(observability, Observability):
-            self.obs = observability
-        else:
-            self.obs = Observability(observability, universe=universe)
+        self.obs = Observability(self.config.observability, universe=universe)
         tracer = self.obs.tracer
         tree.pager.tracer = tracer
         disk.tracer = tracer
@@ -265,10 +245,6 @@ class EncipheredDatabase:
         #: The backend this database was created/reopened from, when
         #: known -- the home of the persisted heat blob.
         self._backend: StorageBackend | None = None
-        #: When ``True`` (default) every mutation ends with a
-        #: :meth:`commit`; when ``False`` the caller owns the commit
-        #: points.  :meth:`transaction` toggles this per scope.
-        self.autocommit = autocommit
         #: Reader--writer lock guarding every public operation; exposed so
         #: callers can pin a consistent multi-operation view (e.g. a
         #: verifying reopen) to the read side.
@@ -286,27 +262,21 @@ class EncipheredDatabase:
         self._txn_snapshot: tuple[int, int, list[int]] | None = None
         #: Nodes pre-decoded by :meth:`warm` (reported in :meth:`stats`).
         self.warming = WarmingCounters()
-        #: Latest ``warm(background=True)`` daemon thread, for joining.
-        self._warm_thread: threading.Thread | None = None
-        #: Group commit: ``None`` defers to the ``REPRO_GROUP_COMMIT``
-        #: environment switch (so CI can run whole suites with it on),
-        #: mirroring how ``REPRO_OBS_TRACE`` governs observability.
-        if group_commit is None:
-            flag = os.environ.get("REPRO_GROUP_COMMIT", "")
-            group_commit = flag not in ("", "0")
-        self._group_commit = bool(group_commit)
-        self._async_flush = bool(async_flush)
         self._commit_group = _CommitGroup(self)
-        self._flush_lock = threading.Lock()
-        self._flush_wakeup = threading.Event()
-        self._flusher_thread: threading.Thread | None = None
-        self._flusher_stop = False
-        self._flush_error: BaseException | None = None
-        self._async_flushes = 0
         # close() is idempotent: the flag flips before any teardown, so
         # a second close (context-manager exit after an explicit close,
         # cluster close after a per-shard close) is a clean no-op
         self._db_closed = False
+
+    @property
+    def autocommit(self) -> bool:
+        """``True`` (default): every mutation ends with a :meth:`commit`;
+        ``False``: the caller owns the commit points."""
+        return self.config.autocommit
+
+    @autocommit.setter
+    def autocommit(self, value: bool) -> None:
+        self.config = replace(self.config, autocommit=value)
 
     # -- superblock ------------------------------------------------------
 
@@ -342,6 +312,20 @@ class EncipheredDatabase:
 
     # -- lifecycle -------------------------------------------------------
 
+    @staticmethod
+    def _build_tree(
+        disk: BlockDevice,
+        substitution: KeySubstitution,
+        counting: CountingCipher,
+        config: DatabaseConfig,
+    ) -> tuple[Pager, SubstitutedNodeCodec]:
+        codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
+        pager = Pager(disk, cache_blocks=config.cache_blocks,
+                      write_back=config.write_back,
+                      decoded_cache_blocks=config.decoded_node_cache_blocks,
+                      readahead_workers=config.readahead_workers)
+        return pager, codec
+
     @classmethod
     def create(
         cls,
@@ -353,27 +337,16 @@ class EncipheredDatabase:
         super_key: bytes = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde",
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
         record_size: int = 120,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         backend: StorageBackend | None = None,
-        observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
-        readahead_workers: int = 0,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "EncipheredDatabase":
         """Initialise a fresh database (block 0 reserved for the superblock).
 
-        ``record_cache_blocks`` and ``decoded_node_cache_blocks`` size
-        the two plaintext read caches (record slot blocks and decoded
-        node views); both default to ``0`` -- off -- which keeps every
+        ``config`` and/or ``knobs`` (its field names as keywords) set the
+        runtime knobs -- see :class:`~repro.core.config.DatabaseConfig`.
+        Both plaintext read caches default off, which keeps every
         cipher-operation count on the paper's cost model.
-        ``decoded_node_cache_bytes`` additionally (or instead) bounds the
-        decoded-node cache by the byte size of the blocks its views were
-        decoded from, making its memory footprint plannable.
 
         ``backend`` selects where the two block devices live (``None``
         keeps the historical private in-memory disks): devices are
@@ -383,14 +356,8 @@ class EncipheredDatabase:
         superblock (the authority a reopen trusts) is the commit point:
         a crash between the two syncs merely leaks record slots that no
         committed index entry references.
-
-        ``group_commit`` (default: the ``REPRO_GROUP_COMMIT`` switch)
-        coalesces concurrent explicit commits into shared sync rounds;
-        ``async_flush`` additionally defers the sync to a background
-        flusher.  ``readahead_workers`` sizes the pager's asynchronous
-        prefetch pool (``0`` -- off -- keeps the blocking read path and
-        the paper's I/O accounting untouched).
         """
+        config = DatabaseConfig.of(config, **knobs)
         if backend is None:
             disk: BlockDevice = SimulatedDisk(block_size=block_size)
         else:
@@ -399,20 +366,14 @@ class EncipheredDatabase:
         if reserved != 0:
             raise StorageError("superblock must be block 0")
         counting = _counting(pointer_cipher)
-        codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks,
-                      decoded_cache_bytes=decoded_node_cache_bytes,
-                      readahead_workers=readahead_workers)
+        pager, codec = cls._build_tree(disk, substitution, counting, config)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
                               block_size=block_size,
-                              cache_blocks=record_cache_blocks,
+                              cache_blocks=config.record_cache_blocks or 0,
                               backend=backend,
                               create=True if backend is not None else None)
-        db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability,
-                 group_commit=group_commit, async_flush=async_flush)
+        db = cls(substitution, counting, disk, records, super_key, tree, config)
         db._backend = backend
         db.commit()  # superblock + the fresh root reach the platter
         return db
@@ -426,44 +387,31 @@ class EncipheredDatabase:
         records: RecordStore,
         *,
         super_key: bytes = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde",
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        record_cache_blocks: int | None = None,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
-        observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
-        readahead_workers: int = 0,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "EncipheredDatabase":
         """Rebuild a handle from the platter and the secrets alone.
 
         Every cache starts cold, as after a process restart.  Cache
         *capacities* follow their owners: the pager is rebuilt here, so
-        ``cache_blocks``/``decoded_node_cache_blocks`` apply directly
-        (the decoded level defaults off, like ``create``); the record
-        store is the caller's durable object, so its configured cache
-        capacity persists unless ``record_cache_blocks`` is given
-        (``None`` keeps it, ``0`` forces the cache off).
+        its knobs apply directly (the decoded level defaults off, like
+        ``create``); the record store is the caller's durable object, so
+        its configured cache capacity persists unless
+        ``record_cache_blocks`` is given (``None`` keeps it, ``0`` forces
+        the cache off).
         """
+        config = DatabaseConfig.of(config, **knobs)
         root_id, min_degree, size = cls._read_superblock(disk, super_key)
         counting = _counting(pointer_cipher)
-        codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks,
-                      decoded_cache_bytes=decoded_node_cache_bytes,
-                      readahead_workers=readahead_workers)
-        if record_cache_blocks is not None:
-            records.cache.resize(record_cache_blocks)
+        pager, codec = cls._build_tree(disk, substitution, counting, config)
+        if config.record_cache_blocks is not None:
+            records.cache.resize(config.record_cache_blocks)
         tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
         if tree.size != size:
             raise IntegrityError(
                 f"superblock records {size} keys, tree holds {tree.size}"
             )
-        db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability,
-                 group_commit=group_commit, async_flush=async_flush)
+        db = cls(substitution, counting, disk, records, super_key, tree, config)
         db._make_cold()  # attach's verification walk must not pre-warm
         return db
 
@@ -478,16 +426,8 @@ class EncipheredDatabase:
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
         block_size: int = 512,
         record_size: int = 120,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
-        observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
-        readahead_workers: int = 0,
+        config: DatabaseConfig | None = None,
+        **knobs,
     ) -> "EncipheredDatabase":
         """Reopen a database from its backend and the secrets alone.
 
@@ -499,31 +439,17 @@ class EncipheredDatabase:
         (``block_size``/``record_size``) must match creation -- the
         cluster manifest records it; standalone callers supply it.
         """
+        config = DatabaseConfig.of(config, **knobs)
         disk = backend.open_device("node", block_size=block_size, create=False)
         records = RecordStore.reopen(
             data_key,
             backend,
             record_size=record_size,
             block_size=block_size,
-            cache_blocks=record_cache_blocks,
+            cache_blocks=config.record_cache_blocks or 0,
         )
-        db = cls.reopen(
-            substitution,
-            pointer_cipher,
-            disk,
-            records,
-            super_key=super_key,
-            cache_blocks=cache_blocks,
-            write_back=write_back,
-            autocommit=autocommit,
-            record_cache_blocks=None,
-            decoded_node_cache_blocks=decoded_node_cache_blocks,
-            decoded_node_cache_bytes=decoded_node_cache_bytes,
-            observability=observability,
-            group_commit=group_commit,
-            async_flush=async_flush,
-            readahead_workers=readahead_workers,
-        )
+        db = cls.reopen(substitution, pointer_cipher, disk, records,
+                        super_key=super_key, config=config)
         db._backend = backend
         try:
             # adopt any persisted heat so warm() can pre-decode hot
@@ -550,16 +476,14 @@ class EncipheredDatabase:
         With ``group_commit`` enabled (and outside a transaction), the
         expensive half -- the device syncs -- runs through the
         :class:`_CommitGroup`: concurrent committers stage under the
-        write lock, then one leader syncs for the whole batch.  With
-        ``async_flush`` the sync is handed to a background flusher and
-        ``commit`` returns as soon as staging is done; call
-        :meth:`wait_durable` for a hard durability point.  A thread that
-        already holds the lock (autocommit inside a mutation, an open
-        transaction scope) keeps the serial sync-under-write-lock path:
-        it could never wait for a leader that needs the lock it holds.
+        write lock, then one leader syncs for the whole batch.  A thread
+        that already holds the lock (autocommit inside a mutation, an
+        open transaction scope) keeps the serial sync-under-write-lock
+        path: it could never wait for a leader that needs the lock it
+        holds.
         """
         use_group = (
-            self._group_commit
+            self.config.group_commit
             and not self._in_txn
             and not self.lock.held_by_current_thread()
         )
@@ -581,65 +505,7 @@ class EncipheredDatabase:
                 if self._in_txn:
                     self._txn_snapshot = self.tree.snapshot_state()
             if use_group:
-                if self._async_flush:
-                    self._schedule_flush()
-                else:
-                    self._commit_group.flush(ticket)
-                    self._raise_flush_error()
-
-    def wait_durable(self) -> None:
-        """Block until every staged commit is on the platter.
-
-        The hard durability point for ``async_flush`` mode (and a no-op
-        beyond error reporting otherwise): flushes everything staged so
-        far -- becoming the leader if no round is running -- and
-        re-raises any error a background flush stashed.  Must not be
-        called while holding the database lock.
-        """
-        if self._group_commit:
-            self._commit_group.flush(self._commit_group.staged())
-        self._raise_flush_error()
-
-    def _schedule_flush(self) -> None:
-        """Hand the staged work to the background flusher (lazily started)."""
-        if self._flusher_thread is None:
-            with self._flush_lock:
-                if self._flusher_thread is None:
-                    thread = threading.Thread(
-                        target=self._flusher_loop,
-                        name="repro-commit-flusher",
-                        daemon=True,
-                    )
-                    self._flusher_thread = thread
-                    thread.start()
-        with self._flush_lock:
-            self._async_flushes += 1
-        self._flush_wakeup.set()
-
-    def _flusher_loop(self) -> None:
-        while True:
-            self._flush_wakeup.wait()
-            self._flush_wakeup.clear()
-            if self._flusher_stop:
-                return
-            try:
-                self._commit_group.flush(self._commit_group.staged())
-            except BaseException as exc:  # stash for wait_durable/close
-                with self._flush_lock:
-                    self._flush_error = exc
-
-    def _raise_flush_error(self) -> None:
-        with self._flush_lock:
-            exc, self._flush_error = self._flush_error, None
-        if exc is not None:
-            raise exc
-
-    def _stop_flusher(self) -> None:
-        self._flusher_stop = True
-        self._flush_wakeup.set()
-        thread = self._flusher_thread
-        if thread is not None:
-            thread.join(timeout=10.0)
+                self._commit_group.flush(ticket)
 
     def rollback(self) -> None:
         """Discard every change since the last commit point.
@@ -1068,29 +934,20 @@ class EncipheredDatabase:
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (a crashed worker, an injected device fault):
-        every resource -- flusher thread, readahead workers, file
-        handles -- is released even when the final commit or the async
-        flusher drain errors, and only then does the first such error
-        propagate.  Close never wedges holding half the resources.
+        every resource -- readahead workers, file handles -- is released
+        even when the final commit errors, and only then does the first
+        such error propagate.  Close never wedges holding half the
+        resources.
         """
         if self._db_closed:
             return
         self._db_closed = True
-        if self._warm_thread is not None:
-            # a background warm may still hold the read lock; wait it
-            # out (bounded -- it is advisory) before tearing devices down
-            self._warm_thread.join(timeout=10.0)
         first_error: BaseException | None = None
         try:
             if self.has_uncommitted_changes:
                 self.commit()
-            if self._group_commit:
-                # drain staged-but-unflushed durability work (async mode)
-                # and surface any error a background flush stashed
-                self.wait_durable()
         except BaseException as exc:
             first_error = exc
-        self._stop_flusher()
         try:
             self.tree.pager.close()  # readahead workers must not outlive devices
         except BaseException as exc:
@@ -1161,12 +1018,7 @@ class EncipheredDatabase:
 
     # -- caches ----------------------------------------------------------
 
-    def warm(
-        self,
-        levels: int = 2,
-        hot_record_blocks: int = 0,
-        background: bool = False,
-    ) -> int:
+    def warm(self, levels: int = 2, hot_record_blocks: int = 0) -> int:
         """Pre-decode the root's top ``levels`` into the node caches.
 
         Closes part of the cold-reopen gap without waiting for organic
@@ -1181,39 +1033,7 @@ class EncipheredDatabase:
         (live traffic plus any persisted heat adopted at reopen) into
         the record cache.  Returns the total number of nodes and record
         blocks touched.
-
-        ``background=True`` runs the same warm on a daemon thread and
-        returns 0 immediately: a reopen can start serving at once while
-        the prefetch fills caches behind it.  The thread takes the
-        ordinary read lock, so it interleaves with readers and yields to
-        writers like any traversal; progress is visible in
-        ``stats()["cache_warming"]`` (``background_warms`` started,
-        ``background_completed`` finished, plus the usual warmed
-        counts).  The latest thread is kept on ``_warm_thread`` so tests
-        and shutdown paths can ``join`` it.
         """
-        if background:
-            self.warming.bump("background_warms")
-
-            def _run() -> None:
-                try:
-                    self._warm_locked(levels, hot_record_blocks)
-                except BaseException:
-                    # advisory work on an unjoined thread: a database
-                    # closed mid-warm must not spew to stderr
-                    self.warming.bump("background_failed")
-                else:
-                    self.warming.bump("background_completed")
-
-            thread = threading.Thread(
-                target=_run, name="repro-cache-warm", daemon=True
-            )
-            self._warm_thread = thread
-            thread.start()
-            return 0
-        return self._warm_locked(levels, hot_record_blocks)
-
-    def _warm_locked(self, levels: int, hot_record_blocks: int) -> int:
         with self.lock.read_locked():
             warmed = self.tree.warm(levels)
             warmed_blocks = 0
@@ -1231,7 +1051,6 @@ class EncipheredDatabase:
         return {
             "node_raw_blocks": self.tree.pager.capacity,
             "node_decoded_blocks": self.tree.pager.decoded.capacity,
-            "node_decoded_max_bytes": self.tree.pager.decoded.max_bytes,
             "record_plaintext_blocks": self.records.cache.capacity,
         }
 
@@ -1315,7 +1134,6 @@ class EncipheredDatabase:
                 "commit_group": {
                     "rounds": self._commit_group.rounds,
                     "joins": self._commit_group.joins,
-                    "async_flushes": self._async_flushes,
                 },
                 "cipher_kernel": kernel_decisions_snapshot(),
                 "durability": {
@@ -1332,12 +1150,7 @@ class EncipheredDatabase:
                 "record_cipher": self.records.cipher_counts.snapshot(),
                 "record_cache": self.records.cache.stats.snapshot(),
                 "cache_warming": self.warming.snapshot(),
-                # bytes_cached is a gauge (current footprint under the
-                # byte budget), reported beside the cache's counters
-                "node_decoded_cache": {
-                    **self.tree.pager.decoded.stats.snapshot(),
-                    "bytes_cached": self.tree.pager.decoded.total_bytes,
-                },
+                "node_decoded_cache": self.tree.pager.decoded.stats.snapshot(),
                 "pointer_cipher": {
                     "encryptions": self.pointer_cipher.counts.encryptions,
                     "decryptions": self.pointer_cipher.counts.decryptions,

@@ -3,8 +3,8 @@
 The repo's cost model is a *counting* argument -- substitutions per
 probe, decryptions per node visit, comparisons per descent -- and the
 counters were originally plain dataclass fields bumped with ``+=``.
-That was exact in single-threaded runs but racy the moment the cluster's
-thread pool fanned readers out: two threads loading, incrementing and
+That was exact in single-threaded runs but racy the moment concurrent
+client threads read one database: two threads loading, incrementing and
 storing the same field lose updates, so a concurrent benchmark could
 *under-report* cryptographic work (the one direction a security cost
 model must never err in).

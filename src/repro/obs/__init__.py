@@ -19,10 +19,10 @@ tracing live -- from the ``REPRO_OBS_TRACE`` environment variable.
 
 Because :meth:`Observability.snapshot` contains only additive numeric
 leaves in a fixed shape, it rides inside ``stats()["observability"]``
-through every existing aggregation path: thread-pool shards merge it
+through every existing aggregation path: in-process shards merge it
 leaf-wise, process workers ship it as snapshot deltas over the pipe
 protocol, and :class:`~repro.cluster.stats.ClusterStats` rolls it up --
-serial, thread and process executors therefore report one coherent
+serial and process executors therefore report one coherent
 picture (asserted by benchmark C13 and the cluster observability tests).
 """
 

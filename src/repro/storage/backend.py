@@ -185,11 +185,10 @@ class FileBackend(StorageBackend):
         <name>.platter.wal        its write-ahead log
         <scope>/...               scoped child backends (per shard)
 
-    ``fsync=False``, ``wal_limit_bytes``, ``group_commit``,
-    ``fsync_latency_s`` and ``background_checkpoint`` pass straight
-    through to every platter opened here (group commit coalesces concurrent syncs into shared WAL
-    rounds; the latency knob charges a modeled seconds-per-fsync so
-    benchmarks see realistic durability costs on fast filesystems).
+    ``fsync=False``, ``wal_limit_bytes`` and ``fsync_latency_s`` pass
+    straight through to every platter opened here (the latency knob
+    charges a modeled seconds-per-fsync so benchmarks see realistic
+    durability costs on fast filesystems).
     """
 
     durable = True
@@ -200,16 +199,12 @@ class FileBackend(StorageBackend):
         *,
         fsync: bool = True,
         wal_limit_bytes: int = 16 * 1024 * 1024,
-        group_commit: bool = False,
         fsync_latency_s: float = 0.0,
-        background_checkpoint: bool = False,
     ) -> None:
         self.root = os.fspath(root)
         self.fsync = fsync
         self.wal_limit_bytes = wal_limit_bytes
-        self.group_commit = group_commit
         self.fsync_latency_s = fsync_latency_s
-        self.background_checkpoint = background_checkpoint
         os.makedirs(self.root, exist_ok=True)
 
     def device_path(self, name: str) -> str:
@@ -230,9 +225,7 @@ class FileBackend(StorageBackend):
             create=create,
             fsync=self.fsync,
             wal_limit_bytes=self.wal_limit_bytes,
-            group_commit=self.group_commit,
             fsync_latency_s=self.fsync_latency_s,
-            background_checkpoint=self.background_checkpoint,
         )
 
     def scoped(self, name: str) -> "FileBackend":
@@ -240,9 +233,7 @@ class FileBackend(StorageBackend):
             os.path.join(self.root, _check_name(name)),
             fsync=self.fsync,
             wal_limit_bytes=self.wal_limit_bytes,
-            group_commit=self.group_commit,
             fsync_latency_s=self.fsync_latency_s,
-            background_checkpoint=self.background_checkpoint,
         )
 
     @property

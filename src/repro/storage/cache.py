@@ -105,17 +105,6 @@ class LRUCache:
         should :meth:`enforce_capacity` afterwards.
     name:
         Label for diagnostics and ``repr``.
-    weigher:
-        Optional ``weigher(key, value) -> int`` giving an entry's weight
-        in bytes; consulted at :meth:`put` time unless the caller passes
-        an explicit ``weight``.  Without either, entries weigh 0.
-    max_bytes:
-        Byte budget over the summed entry weights; ``0`` (default) means
-        unweighted -- only the entry-count bound applies.  When
-        ``max_bytes > 0`` the cache is enabled even with ``capacity=0``
-        (byte-bounded only): capacity planning by memory footprint
-        instead of entry count, which is what the decoded-node cache
-        needs -- node views vary widely in size.
     """
 
     def __init__(
@@ -124,23 +113,15 @@ class LRUCache:
         on_evict: Callable[[Hashable, object], None] | None = None,
         may_evict: Callable[[Hashable], bool] | None = None,
         name: str = "lru",
-        weigher: Callable[[Hashable, object], int] | None = None,
-        max_bytes: int = 0,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if max_bytes < 0:
-            raise ValueError(f"cache byte budget must be >= 0, got {max_bytes}")
         self.name = name
         self.stats = CacheStats()
         self._capacity = capacity
-        self._max_bytes = max_bytes
-        self._weigher = weigher
         self._on_evict = on_evict
         self._may_evict = may_evict
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._weights: dict[Hashable, int] = {}
-        self._total_bytes = 0
         self._pinned: set[Hashable] = set()
         # Reentrant: an on_evict callback may invalidate() other keys.
         self._lock = threading.RLock()
@@ -152,19 +133,8 @@ class LRUCache:
         return self._capacity
 
     @property
-    def max_bytes(self) -> int:
-        """Byte budget over entry weights (0 = unweighted)."""
-        return self._max_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        """Summed weight of the cached entries (a gauge, not a counter)."""
-        with self._lock:
-            return self._total_bytes
-
-    @property
     def enabled(self) -> bool:
-        return self._capacity > 0 or self._max_bytes > 0
+        return self._capacity > 0
 
     def resize(self, capacity: int) -> None:
         """Change the entry budget; shrinking evicts LRU-first."""
@@ -172,14 +142,6 @@ class LRUCache:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         with self._lock:
             self._capacity = capacity
-            self._evict_over_capacity()
-
-    def resize_bytes(self, max_bytes: int) -> None:
-        """Change the byte budget; shrinking evicts LRU-first."""
-        if max_bytes < 0:
-            raise ValueError(f"cache byte budget must be >= 0, got {max_bytes}")
-        with self._lock:
-            self._max_bytes = max_bytes
             self._evict_over_capacity()
 
     # -- lookup / insertion ----------------------------------------------
@@ -201,19 +163,9 @@ class LRUCache:
             value = self._entries.get(key, _ABSENT)
             return default if value is _ABSENT else value
 
-    def put(self, key: Hashable, value: object, weight: int | None = None) -> None:
-        """Insert or refresh an entry, then re-apply both capacity bounds.
-
-        ``weight`` is the entry's size in bytes; when omitted, the
-        constructor's ``weigher`` is consulted (0 without one).  Callers
-        that already know the byte size (the pager knows its block
-        length) pass it explicitly and skip the weigher.
-        """
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert or refresh an entry, then re-apply the capacity bound."""
         with self._lock:
-            if weight is None:
-                weight = self._weigher(key, value) if self._weigher else 0
-            self._total_bytes += weight - self._weights.get(key, 0)
-            self._weights[key] = weight
             self._entries[key] = value
             self._entries.move_to_end(key)
             self.stats.insertions += 1
@@ -264,7 +216,6 @@ class LRUCache:
             self._pinned.discard(key)
             if self._entries.pop(key, _ABSENT) is _ABSENT:
                 return False
-            self._total_bytes -= self._weights.pop(key, 0)
             self.stats.invalidations += 1
             return True
 
@@ -274,8 +225,6 @@ class LRUCache:
             dropped = len(self._entries)
             self.stats.invalidations += dropped
             self._entries.clear()
-            self._weights.clear()
-            self._total_bytes = 0
             self._pinned.clear()
             return dropped
 
@@ -302,21 +251,11 @@ class LRUCache:
 
     # -- internals -------------------------------------------------------
 
-    def _over_budget(self) -> bool:
-        # The entry-count bound applies unless the cache is byte-bounded
-        # only (capacity 0 with a byte budget); the byte bound applies
-        # whenever one is set.  With neither (capacity 0, max_bytes 0)
-        # the cache is disabled and every entry is over budget -- the
-        # degenerate behaviour write-back pagers rely on.
-        if self._max_bytes and self._total_bytes > self._max_bytes:
-            return True
-        if self._capacity or not self._max_bytes:
-            return len(self._entries) > self._capacity
-        return False
-
     def _evict_over_capacity(self) -> None:
-        # callers hold self._lock
-        while self._over_budget():
+        # callers hold self._lock; a disabled cache (capacity 0) evicts
+        # every entry at once -- the degenerate behaviour write-back
+        # pagers rely on
+        while len(self._entries) > self._capacity:
             victim = next(
                 (
                     k
@@ -329,7 +268,6 @@ class LRUCache:
             if victim is _ABSENT:
                 return  # everything is protected; bound restored later
             value = self._entries.pop(victim)
-            self._total_bytes -= self._weights.pop(victim, 0)
             self.stats.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(victim, value)

@@ -139,14 +139,6 @@ DURABILITY_FIELDS = (
     "frames_replayed",
     "blocks_repaired",
     "checkpoints",
-    # group commit (PR 9): rounds a leader flushed on behalf of a batch,
-    # and follower syncs satisfied by another thread's round without
-    # paying their own WAL append + fsyncs + header flip
-    "group_rounds",
-    "group_joins",
-    # background checkpointing (PR 10): WAL compactions run off the
-    # commit path by the platter's daemon checkpointer
-    "background_checkpoints",
 )
 
 

@@ -132,11 +132,6 @@ class Pager:
         Capacity of the decoded-page cache consulted by
         :meth:`read_decoded`; ``0`` (default) disables it, keeping every
         decode -- and its cryptography -- on the paper's cost model.
-    decoded_cache_bytes:
-        Optional byte budget for the decoded-page cache, metered by each
-        view's encoded block length.  May be combined with the entry
-        bound (both apply) or used alone (``decoded_cache_blocks=0``
-        with a byte budget caps memory, not entries).
 
     Attributes
     ----------
@@ -155,7 +150,6 @@ class Pager:
         cache_blocks: int = 64,
         write_back: bool = False,
         decoded_cache_blocks: int = 0,
-        decoded_cache_bytes: int = 0,
         readahead_workers: int = 0,
     ) -> None:
         self.disk = disk
@@ -181,11 +175,7 @@ class Pager:
             may_evict=lambda b: not (self.retain_dirty and b in self._dirty),
             name="pager-raw",
         )
-        self.decoded = LRUCache(
-            decoded_cache_blocks,
-            name="pager-decoded",
-            max_bytes=decoded_cache_bytes,
-        )
+        self.decoded = LRUCache(decoded_cache_blocks, name="pager-decoded")
         self._dirty: set[int] = set()
         # Concurrent readers admitted by the database's reader--writer
         # lock still *mutate* the pager (LRU reorder, fill-on-miss,
@@ -359,12 +349,8 @@ class Pager:
         cached = self.decoded.get(block_id)
         if cached is not None:
             return cached
-        data = self.read(block_id)
-        value = decode(block_id, data)
-        # Weigh the view by its encoded block length: a lazy view retains
-        # (at least) the block bytes it decodes from, so the stored size
-        # is the honest lower bound a byte budget can meter.
-        self.decoded.put(block_id, value, weight=len(data))
+        value = decode(block_id, self.read(block_id))
+        self.decoded.put(block_id, value)
         return value
 
     def write(self, block_id: int, data: bytes) -> None:

@@ -196,14 +196,3 @@ class TestReopenValidation:
             ShardedEncipheredDatabase.reopen(
                 sub_factory, cipher_factory, parts, router="range"
             )
-
-    def test_validation_can_be_skipped(self, factories):
-        db = self.load(factories, router="hash")
-        sub_factory, cipher_factory = factories
-        reopened = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, db.shard_parts(),
-            router="range", validate_routing=False,
-        )
-        # explicit opt-out: the caller owns the consequences
-        assert reopened.num_shards == NUM_SHARDS
-        reopened.close()

@@ -1,10 +1,10 @@
 """Incremental replica sync: delta ships, fallbacks, epoch hygiene.
 
 The contract extends PR 4's executor parity: for identical workloads
-every backend -- serial, threads, processes with delta sync, processes
-forced to full ships -- must return byte-identical results and report
-identical cipher totals, while the delta path ships strictly fewer
-bytes per parent-side write.  Failure modes (worker crash mid-protocol,
+backend -- serial and processes with delta sync -- must return
+byte-identical results and report identical cipher totals, while the
+delta path ships strictly fewer bytes per parent-side write than a full
+re-ship of the shard's spec would.  Failure modes (worker crash mid-protocol,
 journal history truncated past the replica's epoch) must degrade to the
 full ship, never to wrong answers.
 """
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.cluster.executor import spec_from_shard
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
@@ -48,12 +49,7 @@ def make_cluster(executor: str, **kwargs) -> ShardedEncipheredDatabase:
     )
 
 
-ARMS = {
-    "serial": lambda: make_cluster("serial"),
-    "threads": lambda: make_cluster("threads"),
-    "processes": lambda: make_cluster("processes"),
-    "processes-full": lambda: make_cluster("processes", delta_sync=False),
-}
+ARMS = ("serial", "processes")
 
 
 def seed_keys(count: int, seed: int = 0xD51) -> dict[int, bytes]:
@@ -84,8 +80,8 @@ class TestMixedWorkloadParity:
             seed=0xD52,
         )
         transcripts, totals = {}, {}
-        for name, build in ARMS.items():
-            cluster = build()
+        for name in ARMS:
+            cluster = make_cluster(name)
             try:
                 cluster.bulk_load(records.items())
                 transcripts[name] = self._replay(cluster, ops)
@@ -102,32 +98,30 @@ class TestMixedWorkloadParity:
     def test_delta_arm_actually_ships_deltas(self):
         records = seed_keys(40)
         absent = [k for k in range(DESIGN.v) if k not in records]
-        delta = make_cluster("processes")
-        full = make_cluster("processes", delta_sync=False)
+        cluster = make_cluster("processes")
         try:
-            for cluster in (delta, full):
-                cluster.bulk_load(records.items())
-                cluster.range_search(0, DESIGN.v)
-                # drop the bulk-load-era accounting; measure mutations only
-                cluster._procs.sync_stats.update(
-                    dict.fromkeys(cluster._procs.sync_stats, 0)
-                )
+            cluster.bulk_load(records.items())
+            cluster.range_search(0, DESIGN.v)
+            # drop the bulk-load-era accounting; measure mutations only
+            cluster._procs.sync_stats.update(
+                dict.fromkeys(cluster._procs.sync_stats, 0)
+            )
+            full_bytes = 0  # what re-shipping each touched shard would move
             for k in absent[:5]:
-                for cluster in (delta, full):
-                    cluster.insert(k, b"w")
-                    cluster.range_search(0, DESIGN.v)
-            d, f = delta.sync_stats(), full.sync_stats()
+                cluster.insert(k, b"w")
+                i = cluster.router.shard_for(k)
+                full_bytes += spec_from_shard(
+                    cluster.shards[i], i, sub_factory, cipher_factory
+                ).payload_bytes
+                cluster.range_search(0, DESIGN.v)
+            d = cluster.sync_stats()
             assert d["full_ships"] == 0 and d["delta_ships"] == 5
-            assert f["delta_ships"] == 0 and f["full_ships"] == 5
-            bytes_delta = d["delta_bytes"] + d["full_bytes"]
-            bytes_full = f["delta_bytes"] + f["full_bytes"]
-            assert bytes_delta < bytes_full, (
+            assert d["delta_bytes"] < full_bytes, (
                 "the incremental protocol shipped no fewer bytes than "
                 "full re-ships"
             )
         finally:
-            delta.close()
-            full.close()
+            cluster.close()
 
     def test_stats_surface_replica_sync(self):
         records = seed_keys(30)
@@ -318,8 +312,8 @@ class TestBatchedClusterMutations:
         batch = [(k, f"b{k}".encode()) for k in absent[:20]]
         doomed = sorted(records)[:8]
         results, totals = {}, {}
-        for name, build in ARMS.items():
-            cluster = build()
+        for name in ARMS:
+            cluster = make_cluster(name)
             try:
                 cluster.bulk_load(records.items())
                 cluster.put_many(batch)
@@ -525,9 +519,7 @@ class TestConcurrentDeltaSync:
 class TestClusterWarming:
     def test_warm_fans_out_and_counts(self):
         records = seed_keys(60)
-        cluster = make_cluster(
-            "threads", decoded_node_cache_blocks=64
-        )
+        cluster = make_cluster("serial", decoded_node_cache_blocks=64)
         try:
             cluster.bulk_load(records.items())
             cluster.clear_caches()

@@ -1,4 +1,4 @@
-"""The pluggable fan-out backends: serial, threads, processes.
+"""The two fan-out backends: serial and processes.
 
 The contract is strict parity: for identical workloads every backend
 must return byte-identical results, leave byte-identical platters, and
@@ -22,14 +22,16 @@ from repro.core.records import RecordStore
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
-from repro.exceptions import StorageError
+from repro.exceptions import ShardUnavailableError, StorageError
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.storage.backend import FileBackend
 from repro.storage.disk import SimulatedDisk
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
 NUM_SHARDS = 4
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def sub_factory(i: int) -> OvalSubstitution:
@@ -67,12 +69,10 @@ class TestBackendParity:
                 cluster.bulk_load(records.items())
             expected = clusters["serial"].range_search(0, DESIGN.v)
             assert len(expected) == len(sample)
-            for name in ("threads", "processes"):
-                assert clusters[name].range_search(0, DESIGN.v) == expected, name
+            assert clusters["processes"].range_search(0, DESIGN.v) == expected
             probes = sample[:25] + [k + 1 for k in sample[:5]]
             expected_many = clusters["serial"].get_many(probes, default=b"?")
-            for name in ("threads", "processes"):
-                assert clusters[name].get_many(probes, default=b"?") == expected_many
+            assert clusters["processes"].get_many(probes, default=b"?") == expected_many
         finally:
             for cluster in clusters.values():
                 cluster.close()
@@ -111,7 +111,6 @@ class TestBackendParity:
                 totals[name] = (agg["pointer_cipher"], agg["record_cipher"], agg["size"])
             finally:
                 cluster.close()
-        assert totals["serial"] == totals["threads"]
         assert totals["serial"] == totals["processes"]
 
     def test_stats_counts_work_done_in_workers(self):
@@ -127,6 +126,64 @@ class TestBackendParity:
             assert after > before  # worker-side decryptions visible too
         finally:
             cluster.close()
+
+
+class TestSerialFanOut:
+    def test_put_many_lands_every_shard_past_a_dead_one(self, tmp_path):
+        """A permanently failing shard must not stop its siblings: the
+        first error is raised, and every other shard's slice lands, is
+        sealed, and is served by a later process fan-out and by a
+        manifest reopen."""
+        backend = FileBackend(tmp_path / "cluster", fsync=False)
+        sample = random.Random(0xF1).sample(range(DESIGN.v), 40)
+        absent = [k for k in range(DESIGN.v) if k not in set(sample)]
+        batch = [(k, b"new") for k in absent[:40]]
+        dead = 0
+        cluster = ShardedEncipheredDatabase.create(
+            sub_factory, cipher_factory, num_shards=NUM_SHARDS,
+            block_size=512, min_degree=2, executor="processes", backend=backend,
+        )
+        try:
+            cluster.bulk_load(records_for(sample).items())
+            cluster.range_search(0, DESIGN.v)  # every worker holds a replica
+            assert {cluster.router.shard_for(k) for k, _ in batch} == set(
+                range(NUM_SHARDS)
+            )
+            plan = FaultPlan.parse(
+                "read.permanent@1 write.permanent@1 sync.permanent@1"
+            )
+            no_retry = RetryPolicy(max_attempts=1, base_delay_s=0.0, max_delay_s=0.0)
+            shard = cluster.shards[dead]
+            for device in (shard.disk, shard.records.disk):
+                device.attach_faults(FaultInjector(plan), no_retry)
+            epochs = list(cluster._shard_epochs)
+            # the in-process fan-out (a process-backend put_many would
+            # offload the slices to the workers instead)
+            cluster.executor = "serial"
+            with pytest.raises(ShardUnavailableError):
+                cluster.put_many(batch)
+            cluster.executor = "processes"
+            live = [(k, v) for k, v in batch if cluster.router.shard_for(k) != dead]
+            lost = [k for k, _ in batch if cluster.router.shard_for(k) == dead]
+            for i in range(NUM_SHARDS):
+                if i != dead:
+                    assert cluster._shard_epochs[i] > epochs[i]
+                    assert not cluster.shards[i].has_unsealed_changes
+            delta_ships = cluster.sync_stats()["delta_ships"]
+            assert cluster.get_many([k for k, _ in live]) == [v for _, v in live]
+            assert cluster.sync_stats()["delta_ships"] > delta_ships
+        finally:
+            cluster.close()
+        reopened = ShardedEncipheredDatabase.reopen_from_manifest(
+            sub_factory, cipher_factory, backend
+        )
+        try:
+            data = dict(reopened.range_search(0, DESIGN.v))
+            assert all(data[k] == v for k, v in live)
+            assert all(k not in data for k in lost)
+            assert all(k in data for k in sample)
+        finally:
+            reopened.close()
 
 
 class TestReplicaConsistency:
@@ -229,7 +286,7 @@ class TestValidationAndErrors:
             with pytest.raises(StorageError, match="picklable"):
                 cluster.range_search(0, DESIGN.v)
         finally:
-            # thread/serial paths still work for the same cluster
+            # the in-process paths still work for the same cluster
             assert cluster.get(3) == b"x"
             cluster.close()
 
@@ -307,7 +364,7 @@ class TestValidationAndErrors:
         sample = random.Random(0xEE).sample(range(DESIGN.v), 40)
         records = records_for(sample)
         states = {}
-        for name in ("threads", "processes"):
+        for name in BACKENDS:
             cluster = ShardedEncipheredDatabase.create(
                 sub_factory, cipher_factory, num_shards=NUM_SHARDS,
                 block_size=512, min_degree=2, executor=name,
@@ -322,7 +379,7 @@ class TestValidationAndErrors:
                 assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
             finally:
                 cluster.close()  # commits, like any orderly shutdown
-        assert states["threads"] == states["processes"], (
+        assert states["serial"] == states["processes"], (
             "the process backend changed what an uncommitted load leaves "
             "on the platters"
         )
@@ -367,25 +424,6 @@ class TestValidationAndErrors:
             )
         finally:
             control.close()
-            cluster.close()
-
-    def test_gauge_not_double_counted_through_workers(self):
-        sample = random.Random(0xED).sample(range(DESIGN.v), 40)
-        cluster = ShardedEncipheredDatabase.create(
-            sub_factory, cipher_factory, num_shards=NUM_SHARDS,
-            block_size=512, min_degree=2, executor="processes",
-            decoded_node_cache_bytes=4096,
-        )
-        try:
-            cluster.bulk_load(records_for(sample).items())
-            cluster.range_search(0, DESIGN.v)
-            reported = cluster.stats().aggregate["node_decoded_cache"]["bytes_cached"]
-            parent_only = sum(
-                s.tree.pager.decoded.total_bytes for s in cluster.shards
-            )
-            assert reported == parent_only
-            assert 0 <= reported <= NUM_SHARDS * 4096
-        finally:
             cluster.close()
 
     def test_worker_errors_propagate_and_worker_survives(self):

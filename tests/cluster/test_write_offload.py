@@ -203,14 +203,12 @@ class TestOffloadFailureSemantics:
             cluster.close()
 
     def test_failed_shard_recovers_for_the_next_offload(self):
-        # control arm is "threads", not "serial": on a partial failure
-        # the serial loop stops at the failing shard (later slices never
-        # run), while threads and the offload path both drain every
-        # slice and roll back only the failing shard -- the same
-        # documented per-shard contract, different committed siblings
+        # on a partial failure both the serial fan-out and the offload
+        # path drain every slice and roll back only the failing shard --
+        # the documented per-shard contract
         records = seed_keys(30)
         cluster = make_cluster("processes")
-        control = make_cluster("threads")
+        control = make_cluster("serial")
         try:
             present = sorted(records)
             absent = [k for k in range(DESIGN.v) if k not in records]
@@ -262,10 +260,10 @@ class TestOffloadGating:
         finally:
             cluster.close()
 
-    def test_thread_executor_never_offloads(self):
+    def test_serial_executor_never_offloads(self):
         records = seed_keys(30)
         absent = [k for k in range(DESIGN.v) if k not in records]
-        cluster = make_cluster("threads")
+        cluster = make_cluster("serial")
         try:
             cluster.bulk_load(records.items())
             cluster.put_many([(k, b"t") for k in absent[:12]])

@@ -276,63 +276,3 @@ class TestWarming:
         hits_before = db.tree.pager.decoded.stats.hits
         db.search(keys[0])
         assert db.tree.pager.decoded.stats.hits > hits_before
-
-    def test_background_warm_returns_immediately_and_reports(self, cipher):
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            decoded_node_cache_blocks=64,
-        )
-        self._fill(db)
-        db.clear_caches()
-        assert db.warm(levels=10, background=True) == 0
-        assert db._warm_thread is not None
-        db._warm_thread.join(10)
-        assert not db._warm_thread.is_alive()
-        snap = db.stats()["cache_warming"]
-        assert snap["background_warms"] == 1
-        assert snap["background_completed"] == 1
-        assert snap["background_failed"] == 0
-        assert snap["nodes_warmed"] >= 2
-        assert len(db.tree.pager.decoded) == snap["nodes_warmed"]
-
-    def test_background_warm_serves_reads_while_running(self, cipher):
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            decoded_node_cache_blocks=64,
-        )
-        keys = self._fill(db)
-        db.clear_caches()
-        db.warm(levels=10, background=True)
-        # the warm holds only the read lock: queries interleave with it
-        assert db.search(keys[0]) == f"r{keys[0]}".encode()
-        db._warm_thread.join(10)
-        assert db.stats()["cache_warming"]["background_completed"] == 1
-
-    def test_cluster_background_warm_fans_out(self, cipher):
-        from repro.cluster.sharded import ShardedEncipheredDatabase
-        from repro.designs.multipliers import non_multiplier_units
-
-        units = non_multiplier_units(DESIGN)
-        cluster = ShardedEncipheredDatabase.create(
-            lambda i: OvalSubstitution(DESIGN, t=units[i % len(units)]),
-            lambda i: RSA(
-                generate_rsa_keypair(bits=128, rng=random.Random(0xBA + i))
-            ),
-            num_shards=3,
-            block_size=512,
-            min_degree=2,
-        )
-        try:
-            keys = random.Random(3).sample(range(DESIGN.v), 60)
-            cluster.bulk_load((k, b"w") for k in keys)
-            cluster.clear_caches()
-            assert cluster.warm(levels=2, background=True) == 0
-            for shard in cluster.shards:
-                assert shard._warm_thread is not None
-                shard._warm_thread.join(10)
-            agg = cluster.stats().aggregate["cache_warming"]
-            assert agg["background_warms"] == 3
-            assert agg["background_completed"] == 3
-            assert agg["nodes_warmed"] >= 3  # at least every root
-        finally:
-            cluster.close()

@@ -1,11 +1,10 @@
-"""Group commit and async flush at the database layer.
+"""Group commit at the database layer -- the engine's only one.
 
-The platter-level suite (tests/storage/test_group_commit.py) proves
-the WAL-round coalescing; this one proves the database plumbing above
-it: the env-flag default, parity with serial commits, concurrent
-committers all reaching durability, the async flusher's deferred
-durability point, error surfacing, and the rollback-during-async-flush
-regression from the PR 9 bugfix sweep.
+Concurrent committers stage under the write lock and one leader syncs
+both devices for the whole batch.  Covered here: the env-flag default,
+parity with serial commits, concurrent committers all reaching
+durability, a failed leader round surfacing and then retrying, and
+in-transaction commits staying on the inline path.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import KeyNotFoundError
 from repro.storage.backend import FileBackend, MemoryBackend
 
 DESIGN = planar_difference_set(13)
@@ -41,8 +39,8 @@ def reopen_db(backend, **kwargs):
     return EncipheredDatabase.reopen_from_backend(sub, rsa, backend, **kwargs)
 
 
-def backend_at(tmp_path, group_commit=True):
-    return FileBackend(tmp_path / "db", fsync=False, group_commit=group_commit)
+def backend_at(tmp_path):
+    return FileBackend(tmp_path / "db", fsync=False)
 
 
 class Kill(Exception):
@@ -53,19 +51,19 @@ class TestDefaults:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_GROUP_COMMIT", raising=False)
         db = make_db(MemoryBackend())
-        assert db._group_commit is False
+        assert db.config.group_commit is False
 
     def test_env_flag_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert make_db(MemoryBackend())._group_commit is True
+        assert make_db(MemoryBackend()).config.group_commit is True
 
     def test_env_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_GROUP_COMMIT", "0")
-        assert make_db(MemoryBackend())._group_commit is False
+        assert make_db(MemoryBackend()).config.group_commit is False
 
     def test_explicit_kwarg_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert make_db(MemoryBackend(), group_commit=False)._group_commit is False
+        assert make_db(MemoryBackend(), group_commit=False).config.group_commit is False
 
     def test_stats_surface(self, tmp_path):
         db = make_db(backend_at(tmp_path), group_commit=True, autocommit=False)
@@ -74,7 +72,6 @@ class TestDefaults:
         s = db.stats()
         assert s["commit_group"]["rounds"] >= 1
         assert s["commit_group"]["joins"] >= 0
-        assert s["commit_group"]["async_flushes"] == 0
         assert set(s["cipher_kernel"]) == {"vector_calls", "fast_calls"}
         db.close()
 
@@ -135,50 +132,11 @@ class TestConcurrentCommitters:
         db2.close()
 
 
-class TestAsyncFlush:
-    def test_commit_returns_wait_durable_lands_it(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        db.insert(7, b"seven")
-        db.commit()  # staged; durability deferred to the flusher
-        assert db.stats()["commit_group"]["async_flushes"] >= 1  # create commits too
-        db.wait_durable()
-        assert db.stats()["commit_group"]["rounds"] >= 1
-        db.close()
-        db2 = reopen_db(backend_at(tmp_path))
-        assert db2.search(7) == b"seven"
-        db2.close()
-
-    def test_close_drains_staged_work(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        for k in range(5):
-            db.insert(k, f"v{k}".encode())
-            db.commit()
-        db.close()  # no explicit wait_durable: close must drain
-        db2 = reopen_db(backend_at(tmp_path))
-        for k in range(5):
-            assert db2.search(k) == f"v{k}".encode()
-        db2.close()
-
-    def test_flush_error_surfaces_once_then_clears(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
+class TestFailedRound:
+    def test_error_surfaces_then_the_next_commit_retries(self, tmp_path):
+        db = make_db(backend_at(tmp_path), autocommit=False, group_commit=True)
         db.insert(1, b"x")
         db.commit()
-        db.wait_durable()  # baseline durable
 
         def bomb(point):
             if point == "sync:start":
@@ -186,44 +144,14 @@ class TestAsyncFlush:
 
         db.disk.fault_hook = bomb
         db.insert(2, b"y")
-        db.commit()  # returns; background flush will fail
         with pytest.raises(Kill):
-            db.wait_durable()
+            db.commit()  # the leader's round fails; the error reaches us
         db.disk.fault_hook = None
-        db.wait_durable()  # retried round succeeds, error is spent
+        db.commit()  # a fresh round covers the staged work
         db.close()
         db2 = reopen_db(backend_at(tmp_path))
+        assert db2.search(1) == b"x"
         assert db2.search(2) == b"y"
-        db2.close()
-
-    def test_rollback_during_async_flush_regression(self, tmp_path):
-        # the PR 9 bugfix sweep's scenario: a commit is staged for async
-        # durability when a transaction opens, writes, and rolls back.
-        # The rollback must discard only the transaction's pages -- the
-        # staged commit's blocks are already flushed to the platter (the
-        # pager flush happens at staging), so the in-flight durability
-        # round must land exactly the committed bytes.
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        db.insert(1, b"committed")
-        db.commit()  # async: durability may still be in flight
-        with pytest.raises(Kill):
-            with db.transaction():
-                db.insert(2, b"doomed")
-                raise Kill
-        db.wait_durable()
-        assert db.search(1) == b"committed"
-        with pytest.raises(KeyNotFoundError):
-            db.search(2)
-        db.close()
-        db2 = reopen_db(backend_at(tmp_path))
-        assert db2.search(1) == b"committed"
-        with pytest.raises(KeyNotFoundError):
-            db2.search(2)
         db2.close()
 
 

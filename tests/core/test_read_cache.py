@@ -278,8 +278,7 @@ class TestInvalidation:
         stats = reopened.stats()
         assert stats["record_cache"]["hits"] == 0
         assert stats["node_decoded_cache"] == dict.fromkeys(
-            ("hits", "misses", "insertions", "evictions", "invalidations",
-             "bytes_cached"), 0
+            ("hits", "misses", "insertions", "evictions", "invalidations"), 0
         )
         assert len(reopened.tree.pager.decoded) == 0
         assert stats["pager"]["hits"] == 0
@@ -308,52 +307,3 @@ class TestInvalidation:
         # put() enciphered the block; the warm searches never deciphered
         assert stats["record_cipher"]["encryptions"] >= 1
         assert stats["record_cipher"]["decryptions"] == 0
-
-
-class TestDecodedNodeByteBudget:
-    """The decoded-node cache's byte-accounted budget (ROADMAP item)."""
-
-    def test_byte_budget_bounds_footprint(self, cipher):
-        db = make_db(cipher, decoded_node_cache_bytes=1024)
-        for k in range(0, 120, 2):
-            db.insert(k, f"r{k}".encode())
-        db.range_search(0, 120)
-        decoded = db.tree.pager.decoded
-        assert decoded.enabled
-        assert 0 < decoded.total_bytes <= 1024
-        assert db.cache_config()["node_decoded_max_bytes"] == 1024
-        # with no entry bound, the byte budget is the only limiter
-        assert db.cache_config()["node_decoded_blocks"] == 0
-
-    def test_budget_surfaces_in_stats(self, cipher):
-        db = make_db(cipher, decoded_node_cache_bytes=4096)
-        for k in range(0, 40, 2):
-            db.insert(k, b"x")
-        db.range_search(0, 40)
-        stats = db.stats()["node_decoded_cache"]
-        assert stats["bytes_cached"] == db.tree.pager.decoded.total_bytes
-        assert stats["bytes_cached"] > 0
-        db.clear_caches()
-        assert db.stats()["node_decoded_cache"]["bytes_cached"] == 0
-
-    def test_byte_budget_results_identical_to_uncached(self, cipher):
-        plain = make_db(cipher)
-        budgeted = make_db(cipher, decoded_node_cache_bytes=512)
-        for k in range(0, 90, 3):
-            plain.insert(k, f"r{k}".encode())
-            budgeted.insert(k, f"r{k}".encode())
-        assert plain.range_search(0, 90) == budgeted.range_search(0, 90)
-        # small budget: entries were evicted rather than growing unbounded
-        assert budgeted.tree.pager.decoded.total_bytes <= 512
-
-    def test_reopen_accepts_byte_budget(self, cipher):
-        db = make_db(cipher)
-        for k in range(0, 30, 3):
-            db.insert(k, b"x")
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records,
-            decoded_node_cache_bytes=2048,
-        )
-        assert reopened.tree.pager.decoded.max_bytes == 2048
-        reopened.range_search(0, 30)
-        assert reopened.tree.pager.decoded.total_bytes > 0

@@ -185,7 +185,7 @@ def test_shard_loss_schedule(seed):
     victim = rng.randrange(NUM_SHARDS)
     items = {k: f"rec-{k}".encode()
              for k in rng.sample(range(DESIGN.v), rng.randint(30, 50))}
-    with make_cluster(executor="threads", degraded_reads=True) as cluster:
+    with make_cluster(executor="serial", degraded_reads=True) as cluster:
         cluster.put_many(sorted(items.items()))
         assert [k for k, _ in cluster.range_search(0, DESIGN.v)] == sorted(items)
         # phase 2: the victim's devices die permanently

@@ -54,7 +54,7 @@ def make_cluster(**kwargs) -> ShardedEncipheredDatabase:
         router="hash",
         block_size=512,
         min_degree=2,
-        executor="threads",
+        executor="serial",
         cache_blocks=2,
         **kwargs,
     )

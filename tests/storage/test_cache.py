@@ -204,81 +204,3 @@ class TestThreadSafety:
         assert not errors
         assert len(cache) <= 32
         assert cache.stats.accesses > 0
-
-
-class TestByteBudget:
-    """The optional byte-accounted budget (weigher/max_bytes)."""
-
-    def test_explicit_weights_drive_eviction(self):
-        cache = LRUCache(10, max_bytes=100)
-        cache.put("a", "x", weight=40)
-        cache.put("b", "y", weight=40)
-        cache.put("c", "z", weight=40)  # 120 bytes > 100: evict LRU ("a")
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.total_bytes == 80
-        assert cache.stats.evictions == 1
-
-    def test_weigher_consulted_when_no_explicit_weight(self):
-        cache = LRUCache(10, max_bytes=10, weigher=lambda k, v: len(v))
-        cache.put("a", b"12345678")
-        cache.put("b", b"1234")  # 12 bytes > 10: "a" goes
-        assert "a" not in cache
-        assert cache.total_bytes == 4
-
-    def test_byte_bound_only_ignores_entry_count(self):
-        cache = LRUCache(0, max_bytes=1000)
-        assert cache.enabled
-        for i in range(50):
-            cache.put(i, i, weight=1)
-        assert len(cache) == 50  # no entry bound in byte-only mode
-        assert cache.total_bytes == 50
-
-    def test_both_bounds_apply(self):
-        cache = LRUCache(2, max_bytes=100)
-        cache.put("a", 1, weight=1)
-        cache.put("b", 2, weight=1)
-        cache.put("c", 3, weight=1)  # entry bound trips first
-        assert len(cache) == 2
-
-    def test_refresh_replaces_weight(self):
-        cache = LRUCache(4, max_bytes=100)
-        cache.put("a", 1, weight=60)
-        cache.put("a", 2, weight=10)
-        assert cache.total_bytes == 10
-
-    def test_invalidate_and_clear_restore_bytes(self):
-        cache = LRUCache(4, max_bytes=100)
-        cache.put("a", 1, weight=30)
-        cache.put("b", 2, weight=30)
-        cache.invalidate("a")
-        assert cache.total_bytes == 30
-        cache.clear()
-        assert cache.total_bytes == 0
-
-    def test_resize_bytes_shrinks_lru_first(self):
-        cache = LRUCache(10, max_bytes=100)
-        for name, weight in (("a", 30), ("b", 30), ("c", 30)):
-            cache.put(name, name, weight=weight)
-        cache.resize_bytes(60)
-        assert "a" not in cache and "b" in cache and "c" in cache
-        assert cache.max_bytes == 60
-
-    def test_oversized_entry_cannot_stay(self):
-        cache = LRUCache(4, max_bytes=10)
-        cache.put("big", 1, weight=50)
-        assert "big" not in cache
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(4, max_bytes=-1)
-        with pytest.raises(ValueError):
-            LRUCache(4).resize_bytes(-1)
-
-    def test_unweighted_cache_unaffected(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.total_bytes == 0
-        assert cache.max_bytes == 0
-        assert not LRUCache(0).enabled

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import threading
 import zlib
 
 import pytest
@@ -216,6 +217,57 @@ class TestSync:
         assert p.durability_snapshot()["syncs"] == 1
         p.abandon()
         assert make(tmp_path, create=False).read_block(0) == b"batched"
+
+
+    def test_failed_sync_retries_cleanly(self, tmp_path):
+        p = make(tmp_path)
+        fill(p, [b"first"])
+        kill_at(p, "sync:start")
+        with pytest.raises(Kill):
+            p.sync()
+        p.fault_hook = None
+        assert p.sync() == 1
+        p.close()
+        assert make(tmp_path, create=False).read_block(0) == b"first"
+
+    def test_each_sync_costs_three_fsyncs(self, tmp_path):
+        # WAL frame, data apply, header flip
+        p = make(tmp_path, fsync=True)
+        p.stats.reset()
+        for i in range(8):
+            fill(p, [b"commit-%d" % i])
+            p.sync()
+        assert p.stats.fsyncs == 24
+        p.close()
+
+    def test_concurrent_syncs_all_durable(self, tmp_path):
+        p = make(tmp_path, fsync=True)
+        blocks = [p.allocate() for _ in range(8)]
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def committer(i):
+            try:
+                barrier.wait()
+                p.write_block(blocks[i], b"racer-%d" % i)
+                p.sync()
+            except BaseException as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=committer, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        p.close()
+        q = make(tmp_path, create=False)
+        for i, b in enumerate(blocks):
+            assert q.read_block(b) == b"racer-%d" % i
+
+    def test_negative_fsync_latency_rejected(self, tmp_path):
+        with pytest.raises(StorageError):
+            make(tmp_path, fsync_latency_s=-0.1)
 
 
 class TestCrashMatrix:
