@@ -263,15 +263,7 @@ def _shard_worker(conn) -> None:
                 db.bulk_load(payload)
                 if not db.autocommit:
                     db.commit()  # the shipped platter must be committed state
-                conn.send((
-                    "ok",
-                    (
-                        db.stats(),
-                        db.tree.snapshot_state(),
-                        db.disk.export_state(),
-                        db.records.export_state(),
-                    ),
-                ))
+                conn.send(("ok", (db.stats(), db.export_state())))
             elif op in ("put_many", "delete_many"):
                 # Write offload: run the single-shard batch on the
                 # replica (where this process's cipher plane does the
@@ -293,19 +285,7 @@ def _shard_worker(conn) -> None:
                     # journals could not prove completeness (shouldn't
                     # happen right after a seal, but the full ship is
                     # always a correct answer)
-                    conn.send((
-                        "ok",
-                        (
-                            db.stats(),
-                            count,
-                            "full",
-                            (
-                                db.tree.snapshot_state(),
-                                db.disk.export_state(),
-                                db.records.export_state(),
-                            ),
-                        ),
-                    ))
+                    conn.send(("ok", (db.stats(), count, "full", db.export_state())))
             elif op == "stats":
                 conn.send(("ok", db.stats()))
             elif op == "heat":
@@ -632,6 +612,43 @@ class ProcessShardExecutor:
 
     # -- fan-out ---------------------------------------------------------
 
+    def _send_all(
+        self,
+        op: str,
+        shard_ids: Sequence[int],
+        payloads: Sequence[object],
+        shards: Sequence[EncipheredDatabase],
+        epochs: Sequence[int],
+        mutating: bool,
+    ) -> None:
+        """Sync every listed worker and pipeline ``op`` to it.
+
+        If a later shard's sync/send fails, the requests already in
+        flight are still answered and drained -- an unread reply would be
+        served as the answer to the *next* request.  The drained work is
+        about to be re-run elsewhere (the cluster falls back
+        in-process), so it is absorbed into the counter baseline rather
+        than harvested, keeping every cipher operation counted once; a
+        drained *mutation* also left its replica ahead of the parent, so
+        that replica is marked stale.
+        """
+        sent: list[int] = []
+        try:
+            for index, payload in zip(shard_ids, payloads):
+                self.sync(index, shards[index], epochs[index])
+                self._conns[index].send((op, payload))
+                sent.append(index)
+        except BaseException:
+            for index in sent:
+                try:
+                    self._recv(index)
+                    self._base[index] = self._request(index, "stats", None)
+                except Exception:
+                    pass
+                if mutating:
+                    self.epochs_sent[index] = -1
+            raise
+
     def map(
         self,
         op: str,
@@ -649,27 +666,7 @@ class ProcessShardExecutor:
         protocol and get served as the answer to the *next* request.
         """
         with self._dispatch_lock:
-            sent: list[int] = []
-            try:
-                for index, payload in zip(shard_ids, payloads):
-                    self.sync(index, shards[index], epochs[index])
-                    self._conns[index].send((op, payload))
-                    sent.append(index)
-            except BaseException:
-                # a later shard's sync/send failed: requests already in
-                # flight must still be answered and drained, or their
-                # replies would surface as answers to future requests.
-                # The drained work is about to be re-run elsewhere (the
-                # cluster falls back in-process), so absorb it into the
-                # counter baseline -- harvesting it later would double-
-                # count cipher operations against the other backends.
-                for index in sent:
-                    try:
-                        self._recv(index)
-                        self._base[index] = self._request(index, "stats", None)
-                    except Exception:
-                        pass
-                raise
+            self._send_all(op, shard_ids, payloads, shards, epochs, mutating=False)
             results = []
             failures: dict[int, Exception] = {}
             for pos, index in enumerate(shard_ids):
@@ -713,32 +710,10 @@ class ProcessShardExecutor:
         The write-offload path needs partial results: ``put_many``'s
         contract applies independent shards' slices even when a sibling
         slice fails, so a fail-fast ``map`` (which discards the
-        successful replies) cannot serve it.  Used for *mutating* ops,
-        so the abort path additionally marks every already-dispatched
-        replica stale -- its state diverged the moment the request went
-        out, and the caller is about to re-run the batch parent-side.
+        successful replies) cannot serve it.  Used for *mutating* ops.
         """
         with self._dispatch_lock:
-            sent: list[int] = []
-            try:
-                for index, payload in zip(shard_ids, payloads):
-                    self.sync(index, shards[index], epochs[index])
-                    self._conns[index].send((op, payload))
-                    sent.append(index)
-            except BaseException:
-                # mirror map()'s drain, plus invalidation: a drained
-                # *mutation* left the replica ahead of the parent, and
-                # absorbing its counters into the baseline (not
-                # harvesting) keeps the about-to-be-re-run work counted
-                # exactly once
-                for index in sent:
-                    try:
-                        self._recv(index)
-                        self._base[index] = self._request(index, "stats", None)
-                    except Exception:
-                        pass
-                    self.epochs_sent[index] = -1
-                raise
+            self._send_all(op, shard_ids, payloads, shards, epochs, mutating=True)
             outcomes: list[tuple[bool, object]] = []
             for index in shard_ids:
                 try:

@@ -450,6 +450,22 @@ class ShardedEncipheredDatabase:
             op, shard_ids, payloads, self.shards, self._shard_epochs
         )
 
+    def _try_process_map(
+        self, op: str, shard_ids: Sequence[int], payloads: Sequence
+    ) -> list | None:
+        """:meth:`_process_map`, or ``None`` when the op must run in-process.
+
+        A racing writer's dirt (:class:`UncommittedShardState`) and lost
+        workers both fall back to the parent's own, intact shards.
+        """
+        try:
+            return self._process_map(op, shard_ids, payloads)
+        except UncommittedShardState:
+            return None
+        except (WorkerCrashError, ShardUnavailableError) as exc:
+            self._note_worker_trouble(exc, shard_ids)
+            return None
+
     def _use_processes(self, shard_ids: Sequence[int]) -> bool:
         """Worker processes pay off only for a true multi-shard fan-out.
 
@@ -705,15 +721,9 @@ class ShardedEncipheredDatabase:
         serving, skipped = self._serviceable(shard_ids)
         partials = None
         if serving and self._use_processes(serving):
-            try:
-                partials = self._process_map(
-                    "range_search", serving, [(lo, hi)] * len(serving)
-                )
-            except UncommittedShardState:
-                partials = None  # racing writer left dirt: serve in-process
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, serving)
-                partials = None  # workers are gone; the parent shards are not
+            partials = self._try_process_map(
+                "range_search", serving, [(lo, hi)] * len(serving)
+            )
         if partials is None:
             partials = self._fan_out(
                 lambda i: self._on_shard(
@@ -760,13 +770,7 @@ class ShardedEncipheredDatabase:
             payloads = [
                 ([key for _, key in by_shard[i]], default) for i in serving
             ]
-            try:
-                chunks = self._process_map("get_many", serving, payloads)
-            except UncommittedShardState:
-                chunks = None  # racing writer left dirt: serve in-process
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, serving)
-                chunks = None  # workers are gone; the parent shards are not
+            chunks = self._try_process_map("get_many", serving, payloads)
             if chunks is not None:
                 for shard_id, values in zip(serving, chunks):
                     for (position, _), record in zip(by_shard[shard_id], values):
@@ -848,9 +852,7 @@ class ShardedEncipheredDatabase:
             replies = self._process_map(
                 "bulk_load", loaded, [partitions[i] for i in loaded]
             )
-            for shard_id, (stats_after, tree_state, node_blocks, record_state) in zip(
-                loaded, replies
-            ):
+            for shard_id, (stats_after, state) in zip(loaded, replies):
                 shard = self.shards[shard_id]
                 with shard.lock.write_locked():
                     # the worker built from a snapshot of an *empty* shard
@@ -864,11 +866,7 @@ class ShardedEncipheredDatabase:
                             "process-backend bulk_load; nothing installed "
                             "for it, reload required"
                         )
-                    shard.tree.pager.discard_dirty()
-                    shard.tree.pager.clear_cache()
-                    shard.disk.import_state(node_blocks)
-                    shard.records.import_state(record_state)
-                    shard.tree.restore_state(tree_state)
+                    shard.import_state(state)
                     # the worker already holds exactly this state: bump
                     # the epoch and mark it shipped, so the next read
                     # skips the re-sync.  The install tainted the
@@ -1003,71 +1001,56 @@ class ShardedEncipheredDatabase:
             # the parent's intact shards
             self._note_worker_trouble(exc, touched)
             return False
-        first_error: BaseException | None = None
+        errors: list[Exception] = []
         for shard_id, (ok, value) in zip(touched, outcomes):
-            if not ok and isinstance(value, WorkerCrashError):
+            if ok:
+                stats_after, _count, kind, state = value
+                try:
+                    installed = self._install_offload(shard_id, kind, state)
+                except Exception as exc:
+                    procs.invalidate((shard_id,))
+                    errors.append(exc)
+                    continue
+                if installed:
+                    procs.rebase(shard_id, stats_after)
+                    procs.sync_stats["offloaded_batches"] += 1
+                    if kind == "delta":
+                        procs.sync_stats["offload_bytes"] += state.payload_bytes
+                        procs.sync_stats["offload_blocks"] += state.blocks_shipped
+                        procs.sync_stats["delta_run_bytes_saved"] += (
+                            state.run_bytes_saved
+                        )
+                    continue
+                # a writer raced in between the sync and the install:
+                # the worker's result describes a stale base state, so
+                # the slice runs parent-side below; in this rare race
+                # its cipher work honestly happens twice, counted twice
+            elif isinstance(value, WorkerCrashError):
                 # the worker died mid-slice.  Its replica died with it
                 # (nothing half-applied survives), and the parent shard
                 # never saw the slice -- so the mutation is safe to run
-                # parent-side, exactly as if the offload never happened.
-                # The slice's cipher work honestly runs again and is
-                # counted again, like the stale-install race below.
+                # parent-side, exactly as if the offload never happened
                 self._note_worker_trouble(value, (shard_id,))
-                procs.invalidate((shard_id,))
-                try:
-                    shard = self.shards[shard_id]
-                    if op == "put_many":
-                        shard.put_many(partitions[shard_id])
-                    else:
-                        shard.delete_many(partitions[shard_id])
-                except BaseException as exc:
-                    if first_error is None:
-                        first_error = exc
-                finally:
-                    self._note_changed_writes((shard_id,))
-                continue
-            if not ok:
+            else:
                 # the slice failed worker-side (duplicate key, missing
                 # key, oversized record): the replica rolled back, but
                 # its rollback may have moved bytes -- re-ship it
                 procs.invalidate((shard_id,))
-                if first_error is None:
-                    first_error = value
+                errors.append(value)
                 continue
-            stats_after, _count, kind, state = value
+            procs.invalidate((shard_id,))
+            shard = self.shards[shard_id]
             try:
-                installed = self._install_offload(shard_id, kind, state)
-            except BaseException as exc:
-                procs.invalidate((shard_id,))
-                if first_error is None:
-                    first_error = exc
-                continue
-            if installed:
-                procs.rebase(shard_id, stats_after)
-                procs.sync_stats["offloaded_batches"] += 1
-                if kind == "delta":
-                    procs.sync_stats["offload_bytes"] += state.payload_bytes
-                    procs.sync_stats["offload_blocks"] += state.blocks_shipped
-                    procs.sync_stats["delta_run_bytes_saved"] += (
-                        state.run_bytes_saved
-                    )
-            else:
-                # a writer raced in between the sync and the install:
-                # the worker's result describes a stale base state.
-                # Drop it (re-ship the replica) and run this slice
-                # parent-side; in this rare race the slice's cipher
-                # work honestly happened twice and is counted twice.
-                procs.invalidate((shard_id,))
-                try:
-                    shard = self.shards[shard_id]
-                    if op == "put_many":
-                        shard.put_many(partitions[shard_id])
-                    else:
-                        shard.delete_many(partitions[shard_id])
-                finally:
-                    self._note_changed_writes((shard_id,))
-        if first_error is not None:
-            raise first_error
+                if op == "put_many":
+                    shard.put_many(partitions[shard_id])
+                else:
+                    shard.delete_many(partitions[shard_id])
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                self._note_changed_writes((shard_id,))
+        if errors:
+            raise errors[0]
         return True
 
     def _install_offload(self, shard_id: int, kind: str, state) -> bool:
@@ -1091,16 +1074,11 @@ class ShardedEncipheredDatabase:
                 or bool(shard.tree.pager.dirty_blocks)
             ):
                 return False
+            # reentrant write lock: both installs take it again
             if kind == "delta":
-                # reentrant write lock: apply_delta takes it again
                 shard.apply_delta(state)
             else:
-                tree_state, node_blocks, record_state = state
-                shard.tree.pager.discard_dirty()
-                shard.tree.pager.clear_cache()
-                shard.disk.import_state(node_blocks)
-                shard.records.import_state(record_state)
-                shard.tree.restore_state(tree_state)
+                shard.import_state(state)
             # same pairing as _process_bulk_load: bump + seal under the
             # shard lock, then mark the worker current -- it already
             # holds exactly the state it just shipped us
@@ -1130,14 +1108,11 @@ class ShardedEncipheredDatabase:
             )
         )
         if self._use_processes(shard_ids):
-            try:
-                warmed += sum(
-                    self._process_map("warm", shard_ids, [levels] * len(shard_ids))
-                )
-            except UncommittedShardState:
-                pass  # racing writer left dirt: parent-side warm stands
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, shard_ids)
+            # on fallback the parent-side warm stands alone
+            warmed += sum(
+                self._try_process_map("warm", shard_ids, [levels] * len(shard_ids))
+                or ()
+            )
         return warmed
 
     def save_heat(self) -> int:

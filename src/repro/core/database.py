@@ -81,7 +81,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Iterable, Iterator
 
 from repro.btree.tree import BTree
@@ -871,6 +871,29 @@ class EncipheredDatabase:
             self.tree.restore_state(delta.tree_state)
             self.has_uncommitted_changes = False
 
+    def export_state(self) -> tuple:
+        """Tree metadata plus both platters at rest: a full state ship."""
+        return (
+            self.tree.snapshot_state(),
+            self.disk.export_state(),
+            self.records.export_state(),
+        )
+
+    def import_state(self, state: tuple) -> None:
+        """Adopt an :meth:`export_state` wholesale (the full-ship consumer).
+
+        Like :meth:`apply_delta`, a pure state transfer: every cache
+        drops, no cipher operation runs.
+        """
+        tree_state, node_blocks, record_state = state
+        with self.lock.write_locked():
+            pager = self.tree.pager
+            pager.discard_dirty()
+            pager.clear_cache()
+            self.disk.import_state(node_blocks)
+            self.records.import_state(record_state)
+            self.tree.restore_state(tree_state)
+
     # -- cross-process catch-up (durable-backend support) ----------------
 
     def reattach(self) -> dict[str, object]:
@@ -1046,14 +1069,6 @@ class EncipheredDatabase:
             self.warming.bump("record_blocks_warmed", warmed_blocks)
         return warmed + warmed_blocks
 
-    def cache_config(self) -> dict[str, int]:
-        """Capacity (in blocks) of each read-path cache level."""
-        return {
-            "node_raw_blocks": self.tree.pager.capacity,
-            "node_decoded_blocks": self.tree.pager.decoded.capacity,
-            "record_plaintext_blocks": self.records.cache.capacity,
-        }
-
     def clear_caches(self) -> None:
         """Drop every cached page and plaintext block (cold-start support).
 
@@ -1095,32 +1110,11 @@ class EncipheredDatabase:
         many databases by summing leaf-wise.
         """
         with self.lock.read_locked():
-            disk, rdisk = self.disk.stats, self.records.disk.stats
             pager = self.tree.pager.stats
             return {
                 "size": self.tree.size,
-                "node_disk": {
-                    "reads": disk.reads,
-                    "writes": disk.writes,
-                    "overwrites": disk.overwrites,
-                    "bytes_read": disk.bytes_read,
-                    "bytes_written": disk.bytes_written,
-                    "read_time_s": disk.read_time_s,
-                    "write_time_s": disk.write_time_s,
-                    "fsyncs": disk.fsyncs,
-                    "header_flips": disk.header_flips,
-                },
-                "record_disk": {
-                    "reads": rdisk.reads,
-                    "writes": rdisk.writes,
-                    "overwrites": rdisk.overwrites,
-                    "bytes_read": rdisk.bytes_read,
-                    "bytes_written": rdisk.bytes_written,
-                    "read_time_s": rdisk.read_time_s,
-                    "write_time_s": rdisk.write_time_s,
-                    "fsyncs": rdisk.fsyncs,
-                    "header_flips": rdisk.header_flips,
-                },
+                "node_disk": asdict(self.disk.stats),
+                "record_disk": asdict(self.records.disk.stats),
                 "pager": {
                     "hits": pager.hits,
                     "misses": pager.misses,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Hashable
 
 
@@ -49,11 +49,8 @@ class CacheStats:
     invalidations: int = 0
 
     def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.invalidations = 0
+        for name in self.snapshot():
+            setattr(self, name, 0)
 
     @property
     def accesses(self) -> int:
@@ -65,13 +62,7 @@ class CacheStats:
 
     def snapshot(self) -> dict[str, int]:
         """The counters as a mergeable plain dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return asdict(self)
 
 
 #: Sentinel distinguishing "absent" from a cached ``None``.

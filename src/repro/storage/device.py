@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Protocol
 
 from repro.exceptions import (
@@ -98,15 +98,8 @@ class DiskStats:
     header_flips: int = 0
 
     def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.overwrites = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_time_s = 0.0
-        self.write_time_s = 0.0
-        self.fsyncs = 0
-        self.header_flips = 0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
 
 @dataclass

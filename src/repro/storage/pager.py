@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.obs.tracing import NULL_TRACER
@@ -82,15 +82,8 @@ class PagerStats:
     readahead_drops: int = 0
 
     def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.write_requests = 0
-        self.disk_writes = 0
-        self.dirty_evictions = 0
-        self.flushes = 0
-        self.readaheads = 0
-        self.readahead_loads = 0
-        self.readahead_drops = 0
+        for f in fields(self):
+            setattr(self, f.name, f.default)
 
     @property
     def accesses(self) -> int:

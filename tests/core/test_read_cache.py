@@ -176,12 +176,11 @@ class TestDatabaseCaching:
         db.insert(10, b"new")
         assert db.search(10) == b"new"
 
-    def test_cache_config_reports_capacities(self, cipher):
+    def test_config_reports_capacities(self, cipher):
         db = make_db(cipher, record_cache_blocks=5, decoded_node_cache_blocks=7)
-        config = db.cache_config()
-        assert config["record_plaintext_blocks"] == 5
-        assert config["node_decoded_blocks"] == 7
-        assert config["node_raw_blocks"] == 16
+        assert db.config.record_cache_blocks == 5
+        assert db.config.decoded_node_cache_blocks == 7
+        assert db.config.cache_blocks == 16
 
     def test_clear_caches_is_safe_and_cold(self, cipher):
         db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
@@ -292,8 +291,9 @@ class TestInvalidation:
         reopened = EncipheredDatabase.reopen(
             OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
         )
-        assert reopened.cache_config()["record_plaintext_blocks"] == 12
-        assert reopened.cache_config()["node_decoded_blocks"] == 0
+        assert reopened.config.record_cache_blocks == 12
+        assert reopened.records.cache.capacity == 12
+        assert reopened.config.decoded_node_cache_blocks == 0
 
     def test_stats_contains_cache_counters(self, cipher):
         db = make_db(cipher, record_cache_blocks=8)
