@@ -16,11 +16,11 @@ serialised it on the GIL.  This experiment measures the two remedies:
    (``C10_VECTOR_FLOOR`` tunes the bar for slow CI hosts).
 2. **Executor backends.**  The same range-query workload through the
    cluster's ``serial`` and ``processes`` executors, with byte-identical
-   results and identical cipher-operation deltas asserted across both.  Reported alongside the measured wall
-   clock: the serially-measured per-shard *critical path* (what
-   parallel hardware can reach) and the honest CPU count -- on a
-   single-core container the process pool cannot beat serial, and the
-   numbers say so rather than pretend.
+   results and identical cipher-operation deltas asserted across both.
+   Reported alongside the measured wall clock: the serially-measured
+   per-shard *critical path* (what parallel hardware can reach) and the
+   honest CPU count -- on a single-core container the process pool
+   cannot beat serial, and the numbers say so rather than pretend.
 3. **End to end.**  Mean per-query time of the PR-3 configuration
    (reference kernel, serial fan-out) vs this PR's (fast kernel,
    process fan-out): the user-visible speedup of the whole stack.

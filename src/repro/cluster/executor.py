@@ -2,8 +2,9 @@
 
 Pure-Python DES serialises on the GIL, so threads cannot shorten a
 fan-out's wall clock (benchmark C8 measured a thread pool at ~1x despite
-a ~2.9x shorter critical path).  Shards are already share-nothing -- each owns its platters, substitution secret and
-derived keys -- which is exactly the shape that *processes* parallelise.
+a ~2.9x shorter critical path).  Shards are already share-nothing --
+each owns its platters, substitution secret and derived keys -- which
+is exactly the shape that *processes* parallelise.
 
 This module supplies the cluster's ``executor="processes"`` backend:
 
@@ -397,8 +398,9 @@ class ProcessShardExecutor:
         # parent shard's HeatMap.
         self._heat_base: list[dict[int, int]] = [{} for _ in range(num_shards)]
         # One request/reply may be in flight per pipe; concurrent cluster
-        # calls from several client threads must not interleave frames, so parent-side dispatch is serialised.
-        # Reentrant: map() nests sync() nests harvest().
+        # calls from several client threads must not interleave frames,
+        # so parent-side dispatch is serialised.  Reentrant: map() nests
+        # sync() nests harvest().
         self._dispatch_lock = threading.RLock()
 
     # -- plumbing --------------------------------------------------------
@@ -562,9 +564,10 @@ class ProcessShardExecutor:
         A worker that already holds *some* epoch is caught up with a
         :class:`~repro.storage.journal.ShardDelta` -- only the blocks
         the shard's journals sealed since that epoch, O(changes) instead
-        of O(database) -- when the journals can prove completeness.  Everything else (first contact, respawned
-        worker, truncated journal, uncommitted parent state) takes the
-        full-spec path, whose own guards still apply.
+        of O(database) -- when the journals can prove completeness.
+        Everything else (first contact, respawned worker, truncated
+        journal, uncommitted parent state) takes the full-spec path,
+        whose own guards still apply.
         """
         with self._dispatch_lock:
             if self._ensure_worker(index):

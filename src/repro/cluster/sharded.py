@@ -387,13 +387,13 @@ class ShardedEncipheredDatabase:
         **options,
     ) -> "ShardedEncipheredDatabase":
         """A reopened cluster, once the router reproduces the placement."""
-        cls._validate_routing(shards, router)
+        cls._check_placement(shards, router)
         for shard in shards:
             shard._make_cold()  # recovery/validation walks must not pre-warm
         return cls(shards, router, shard_factories=shard_factories, **options)
 
     @staticmethod
-    def _validate_routing(
+    def _check_placement(
         shards: Sequence[EncipheredDatabase], router: ShardRouter
     ) -> None:
         """Fail fast if ``router`` does not reproduce the key placement.
@@ -1281,4 +1281,4 @@ class ShardedEncipheredDatabase:
         for shard in self.shards:
             with shard.lock.read_locked():  # tree walks must not race writers
                 shard.tree.check_invariants()
-        self._validate_routing(self.shards, self.router)
+        self._check_placement(self.shards, self.router)

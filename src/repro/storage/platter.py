@@ -54,9 +54,11 @@ whose CRC fails on read is repaired from the newest WAL frame that
 wrote it; with the WAL checkpointed, corruption is unrepairable and
 surfaces as :class:`~repro.exceptions.PlatterFormatError`.
 
-Concurrent committers are coalesced one layer up, by the database's
-group commit: the engine only ever syncs a platter from one thread at a
-time, so the platter itself needs no leader/follower protocol.
+Concurrent :meth:`sync` calls serialise on the platter lock.
+Coalescing concurrent committers is the database's group commit, one
+layer up: the engine syncs a platter under the database write lock or
+as that group's single leader, so a second leader/follower protocol
+here never had a follower to serve.
 
 The platter subscribes to its own change journal's ``on_seal`` hook:
 when the cluster seals an epoch that still has unsynced writes (a

@@ -240,6 +240,14 @@ class TestOffloadFailureSemantics:
 
 
 class TestOffloadGating:
+    def test_single_shard_work_stays_on_parent(self):
+        cluster = make_cluster("processes")
+        try:
+            assert cluster._use_processes([0, 1]) is True
+            assert cluster._use_processes([0]) is False
+        finally:
+            cluster.close()
+
     def test_transactions_never_offload(self):
         records = seed_keys(30)
         absent = [k for k in range(DESIGN.v) if k not in records]
