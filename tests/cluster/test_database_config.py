@@ -156,13 +156,6 @@ class TestDatabaseConfig:
         assert db.tree.pager.capacity == 6
         assert db.tree.pager.write_back is True
 
-    def test_group_commit_follows_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert DatabaseConfig().resolved(0).group_commit is True
-        assert DatabaseConfig(group_commit=False).resolved(0).group_commit is False
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "0")
-        assert DatabaseConfig().resolved(0).group_commit is False
-
     def test_autocommit_setter_updates_the_config(self):
         db = EncipheredDatabase.create(sub_factory(0), cipher_factory(0))
         db.autocommit = False
