@@ -896,12 +896,12 @@ class ShardedEncipheredDatabase:
         acquisition, one commit and one epoch bump
         (:meth:`EncipheredDatabase.put_many`), so a burst of k writes
         triggers one replica delta ship per touched shard instead of k
-        re-syncs.  With the process executor, each shard's slice is *offloaded* to
-        its owning worker -- the mutation executes in the worker (where
-        its cipher plane runs on a separate interpreter) and the
-        resulting :class:`~repro.storage.journal.ShardDelta` ships back
-        for parent apply, so write-heavy workloads parallelise across
-        shards like reads do.
+        re-syncs.  With the process executor, each shard's slice is
+        *offloaded* to its owning worker -- the mutation executes in the
+        worker (where its cipher plane runs on a separate interpreter)
+        and the resulting :class:`~repro.storage.journal.ShardDelta`
+        ships back for parent apply, so write-heavy workloads
+        parallelise across shards like reads do.
 
         Atomicity is *per shard*: a failing slice (duplicate key,
         oversized record) rolls its own shard back, but sibling shards

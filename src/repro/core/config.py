@@ -69,12 +69,12 @@ class DatabaseConfig:
         for name in ("write_back", "autocommit"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.group_commit is not None and not isinstance(self.group_commit, bool):
-            raise TypeError(f"group_commit must be a bool or None, got {self.group_commit!r}")
-        if self.observability is not None and not isinstance(self.observability, ObsConfig):
-            raise TypeError(
-                f"observability must be an ObsConfig or None, got {self.observability!r}"
-            )
+        for name, kind in (("group_commit", bool), ("observability", ObsConfig)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise TypeError(
+                    f"{name} must be a {kind.__name__} or None, got {value!r}"
+                )
 
     @classmethod
     def of(cls, config: "DatabaseConfig | None" = None, **knobs) -> "DatabaseConfig":
