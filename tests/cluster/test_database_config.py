@@ -160,3 +160,46 @@ class TestDatabaseConfig:
         db = EncipheredDatabase.create(sub_factory(0), cipher_factory(0))
         db.autocommit = False
         assert db.config.autocommit is False
+
+    def test_resolved_leaves_no_default_open(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GROUP_COMMIT", raising=False)
+        monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
+        resolved = DatabaseConfig().resolved(record_cache_blocks=5)
+        assert all(getattr(resolved, f.name) is not None for f in fields(resolved))
+        assert resolved.record_cache_blocks == 5
+        assert resolved.group_commit is False
+        assert resolved.observability == ObsConfig(enabled=False)
+        # explicit values are never replaced by the environment
+        monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
+        monkeypatch.setenv("REPRO_OBS_TRACE", "1")
+        pinned = DatabaseConfig(group_commit=False, observability=ObsConfig())
+        assert pinned.resolved(0).group_commit is False
+        assert pinned.resolved(0).observability.enabled is False
+
+    def test_observability_switch_is_read_when_a_database_is_built(self, monkeypatch):
+        config = DatabaseConfig()  # made before the switch flips
+        monkeypatch.setenv("REPRO_OBS_TRACE", "1")
+        db = EncipheredDatabase.create(sub_factory(0), cipher_factory(0), config=config)
+        assert db.obs.enabled
+        assert db.config.observability.enabled is True
+        monkeypatch.setenv("REPRO_OBS_TRACE", "0")
+        db = EncipheredDatabase.create(sub_factory(0), cipher_factory(0), config=config)
+        assert not db.obs.enabled
+
+    def test_reopen_keeps_a_handed_record_store_capacity(self):
+        db = EncipheredDatabase.create(
+            sub_factory(0), cipher_factory(0), record_cache_blocks=6
+        )
+        db.insert(1, b"one")
+        kept = EncipheredDatabase.reopen(
+            sub_factory(0), cipher_factory(0), db.disk, db.records
+        )
+        assert kept.records.cache.capacity == 6
+        assert kept.config.record_cache_blocks == 6
+        forced = EncipheredDatabase.reopen(
+            sub_factory(0), cipher_factory(0), db.disk, db.records,
+            record_cache_blocks=0,
+        )
+        assert forced.records.cache.capacity == 0
+        assert forced.config.record_cache_blocks == 0
+        assert forced.search(1) == b"one"

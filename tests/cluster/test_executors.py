@@ -264,6 +264,12 @@ class TestValidationAndErrors:
         with pytest.raises(StorageError, match="executor"):
             make_cluster("fibers")
 
+    def test_removed_thread_pool_name_rejected(self):
+        # the thread-pool backend is gone; its name must not fall back
+        # to another executor silently
+        with pytest.raises(StorageError, match="executor"):
+            make_cluster("threads")
+
     def test_processes_require_factories(self):
         serial = make_cluster("serial")
         with pytest.raises(StorageError, match="factories"):

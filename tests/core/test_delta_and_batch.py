@@ -159,6 +159,49 @@ class TestDeltaRoundTrip:
         assert db.has_unsealed_changes
 
 
+class TestFullStateShip:
+    """``export_state``/``import_state``: the full ship a worker replica
+    takes when no delta can serve it."""
+
+    def test_import_makes_a_stale_handle_identical(self, db, cipher):
+        keys = random.Random(3).sample(range(DESIGN.v), 50)
+        replica = make_replica(db, cipher)  # taken while the source was empty
+        for k in keys:
+            db.insert(k, f"r{k}".encode())
+        for k in keys[::5]:
+            db.delete(k)
+        replica.pointer_cipher.reset_counts()
+        replica.import_state(db.export_state())
+        # a pure state transfer: no pointer is enciphered or deciphered
+        assert replica.pointer_cipher.counts.total == 0
+        assert_platters_identical(db, replica)
+        replica.tree.check_invariants()
+        assert dict(replica.items()) == dict(db.items())
+
+    def test_import_drops_stale_caches(self, db, cipher):
+        db.records.cache.resize(8)
+        for k in (1, 2, 3):
+            db.insert(k, f"old{k}".encode())
+        replica = make_replica(db, cipher)
+        replica.records.cache.resize(8)
+        assert replica.search(2) == b"old2"  # warm the replica's caches
+        db.delete(2)
+        db.insert(2, b"new2")
+        replica.import_state(db.export_state())
+        assert replica.search(2) == b"new2"
+
+    def test_import_discards_uncommitted_work(self, db, cipher):
+        db.insert(1, b"one")
+        replica = make_replica(db, cipher)
+        replica.autocommit = False
+        replica.tree.pager.write_back = True
+        replica.insert(99, b"never committed")  # dirty pages, stale superblock
+        replica.import_state(db.export_state())
+        replica.commit()  # nothing of key 99 may reach the platter now
+        assert 99 not in replica
+        assert_platters_identical(db, replica)
+
+
 class TestBatchedMutations:
     def test_put_many_inserts_everything(self, db):
         items = [(k, f"r{k}".encode()) for k in (5, 1, 9, 3)]

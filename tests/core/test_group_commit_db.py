@@ -2,9 +2,10 @@
 
 Concurrent committers stage under the write lock and one leader syncs
 both devices for the whole batch.  Covered here: the env-flag default,
-parity with serial commits, concurrent committers all reaching
-durability, a failed leader round surfacing and then retrying, and
-in-transaction commits staying on the inline path.
+parity with serial commits (bytes, counters, and recovery from a kill
+at every point of either device's sync), concurrent committers all
+reaching durability, a failed leader round surfacing and then retrying,
+and in-transaction commits staying on the inline path.
 """
 
 from __future__ import annotations
@@ -101,6 +102,89 @@ class TestParityWithSerial:
             }
             db.close()
         assert outcomes["grouped"] == outcomes["serial"]
+
+
+class TestSingleThreadedParity:
+    def test_grouped_rounds_counted(self, tmp_path):
+        # alone, every committer is its own leader: one round per commit
+        # and nobody ever waits out another thread's round
+        db = make_db(backend_at(tmp_path), autocommit=False, group_commit=True)
+        before = db.stats()["commit_group"]["rounds"]
+        for i in range(3):
+            db.insert(i, b"r")
+            db.commit()
+        group = db.stats()["commit_group"]
+        assert group["rounds"] - before == 3
+        assert group["joins"] == 0
+        db.close()
+
+    def test_sequential_control_pays_per_commit(self, tmp_path):
+        # the serial path syncs inline and never touches the group
+        db = make_db(backend_at(tmp_path), autocommit=False, group_commit=False)
+        before = db.stats()["durability"]["node"]["syncs"]
+        for i in range(3):
+            db.insert(i, b"r")
+            db.commit()
+        stats = db.stats()
+        assert stats["durability"]["node"]["syncs"] - before == 3
+        assert stats["commit_group"] == {"rounds": 0, "joins": 0}
+        db.close()
+
+
+class TestCrashMatrixParity:
+    """Kill a grouped commit at every fault point of either device's
+    sync; recovery must match a serial-commit control killed at the same
+    point -- same at-rest bytes on both platters, same WAL repair work."""
+
+    POINTS = (
+        "sync:start",
+        "wal:appended",
+        "apply:block",
+        "apply:done",
+        "header:flipped",
+    )
+
+    def _killed_survivor(self, tmp_path, name, device, point, group_commit):
+        db = make_db(
+            FileBackend(tmp_path / name, fsync=False),
+            autocommit=False,
+            group_commit=group_commit,
+        )
+        for k in range(0, 90, 3):
+            db.insert(k, f"base-{k}".encode())
+        db.commit()
+        for k in range(1, 45, 3):
+            db.insert(k, f"late-{k}".encode())
+        for k in range(0, 90, 9):
+            db.delete(k)
+
+        def bomb(p):
+            if p == point:
+                raise Kill
+
+        target = db.disk if device == "node" else db.records.disk
+        target.fault_hook = bomb
+        with pytest.raises(Kill):
+            db.commit()
+        db.disk.abandon()
+        db.records.disk.abandon()
+        return reopen_db(FileBackend(tmp_path / name, fsync=False))
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("device", ("node", "records"))
+    def test_recovery_matches_serial_control(self, tmp_path, device, point):
+        grouped = self._killed_survivor(tmp_path, "grouped", device, point, True)
+        control = self._killed_survivor(tmp_path, "control", device, point, False)
+        grouped.tree.check_invariants()
+        assert grouped.disk.raw_blocks() == control.disk.raw_blocks()
+        assert grouped.records.disk.raw_blocks() == control.records.disk.raw_blocks()
+        g = grouped.stats()["durability"]
+        c = control.stats()["durability"]
+        for dev in ("node", "records"):
+            for counter in ("frames_replayed", "blocks_repaired"):
+                assert g[dev][counter] == c[dev][counter]
+        grouped.close()
+        control.close()
 
 
 class TestConcurrentCommitters:

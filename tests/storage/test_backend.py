@@ -146,3 +146,24 @@ class TestFileBackend:
         assert dev.fsync is False
         assert dev.wal_limit_bytes == 999
         dev.close()
+
+    def test_auto_checkpointed_devices_survive_reopen(self, tmp_path):
+        # a tiny WAL limit checkpoints inline on most syncs; the main
+        # file must carry everything the truncated WAL no longer does
+        backend = FileBackend(tmp_path / "db", fsync=False, wal_limit_bytes=128)
+        dev = backend.open_device("node", block_size=64)
+        ids = []
+        for i in range(6):
+            ids.append(dev.allocate())
+            dev.write_block(ids[-1], bytes([i]) * 64)
+            dev.sync()
+        assert dev.durability_snapshot()["checkpoints"] >= 1
+        assert os.path.getsize(dev.wal_path) < 6 * 64
+        dev.close()
+        reopened = FileBackend(tmp_path / "db", fsync=False).open_device(
+            "node", block_size=64
+        )
+        assert [reopened.read_block(b) for b in ids] == [
+            bytes([i]) * 64 for i in range(6)
+        ]
+        reopened.close()
