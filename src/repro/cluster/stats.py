@@ -108,6 +108,11 @@ class ClusterStats:
         return self.aggregate["node_decoded_cache"]
 
     @property
+    def record_cipher(self) -> dict[str, object]:
+        """Cluster-wide record-cipher counters: block operations and DES blocks."""
+        return self.aggregate["record_cipher"]
+
+    @property
     def record_cache_hit_rate(self) -> float:
         return self._hit_rate(self.record_cache)
 
@@ -165,7 +170,9 @@ class ClusterStats:
             f"{agg['node_disk']['writes']} node writes, "
             f"imbalance {self.imbalance:.2f}, "
             f"record cache {self._hit_rate(agg['record_cache']):.0%}, "
-            f"decoded-node cache {self._hit_rate(agg['node_decoded_cache']):.0%}"
+            f"decoded-node cache {self._hit_rate(agg['node_decoded_cache']):.0%}, "
+            f"{agg['record_cipher']['decryptions']} record reads in "
+            f"{agg['record_cipher']['des_blocks']} DES blocks"
         )
         if self.replica_sync is not None:
             sync = self.replica_sync

@@ -10,32 +10,48 @@ node-block machinery.  Compromise of the node blocks yields only the
 Records are stored in fixed-size slots (several per block); the *data
 pointer* ``a`` stored in node triplets is the slot's global index.
 
+Read cost: per slot, not per block
+----------------------------------
+
+The cost unit stays the paper's: one record-block decryption per record
+read (``cipher_counts.decryptions``).  What one unit costs is now set
+by the slot, not the block.  CBC decryption is random-access --
+``P_i = D(C_i) xor C_(i-1)`` -- so a cache-off :meth:`RecordStore.get`
+deciphers only the block's last cipher block (its PKCS#7 padding is
+still validated and gives the slot count), the one or two blocks
+holding the slot's length prefix, and the blocks up to the payload's
+end; the IV is derived only for a slot starting at cipher block 0.  A
+48-byte record in a 512-byte block costs 8-9 DES blocks instead of 63,
+tallied in ``cipher_counts.des_blocks``.  Platter bytes, results and
+every error a whole-block read raised are unchanged.
+
 Plaintext block cache
 ---------------------
 
-Benchmark C8 measured per-match record-block DES decryption at ~70-80%
-of range-query time: every :meth:`RecordStore.get` deciphered a whole
-block to extract one slot, so a range query touching ``m`` records in
-the same block paid ``m`` full-block decryptions.  ``cache_blocks > 0``
-puts an :class:`~repro.storage.cache.LRUCache` of *deciphered slot
-tuples* above the disk, so each block is deciphered once per residency
-instead of once per matching record (benchmark C9).
+A range query touching ``m`` records in the same block still pays
+``m`` record decryptions.  ``cache_blocks > 0`` puts an
+:class:`~repro.storage.cache.LRUCache` of *deciphered slot tuples*
+above the disk, so each block is deciphered once per residency instead
+of once per matching record (benchmark C9).  A cache miss deciphers
+the whole block to fill the cache, so the cache pays off only where
+blocks are re-read.
 
 The cache is write-through on the plaintext side: every slot write
 re-enciphers and writes the block as before (ciphertext traffic is
 byte-identical with the cache on or off) and refreshes the cached
 tuple, so reads after ``put``/``delete`` -- including the deletes a
 transaction rollback issues -- can never see stale plaintext.  The
-default is ``0`` (off): the store behaves bit-for-bit as it always has,
-which is the control arm of C9's security-envelope check.
+default is ``0`` (off): one decryption per record read, with platter
+bytes identical either way, which is the control arm of C9's
+security-envelope check.
 """
 
 from __future__ import annotations
 
 from repro.crypto.base import CryptoOpCounts
 from repro.crypto.des import DES
-from repro.crypto.modes import CBCCipher
-from repro.exceptions import BlockBoundsError, StorageError
+from repro.crypto.modes import CBCCipher, unpad_pkcs7
+from repro.exceptions import BlockBoundsError, CryptoError, StorageError
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
 from repro.storage.cache import LRUCache
@@ -43,35 +59,117 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.journal import ChangeJournal, DiskDelta, RecordStoreDelta
 
 
+#: DES block size in bytes: the record cipher's unit of work.
+_DES_BLOCK = DES.block_size
+
+
+class RecordCipherCounts(CryptoOpCounts):
+    """Record-cipher counters: the paper's per-block operations plus DES work.
+
+    ``encryptions``/``decryptions`` keep their cost-model meaning (one
+    per record block enciphered, one per record block read, whole or by
+    slot); ``des_blocks`` counts the 8-byte DES blocks those operations
+    actually ran, IV derivations included, so the saving of slot reads
+    shows next to an unchanged ``decryptions``.
+    """
+
+    _FIELDS = CryptoOpCounts._FIELDS + ("des_blocks",)
+
+
 class _RecordBlockTransform:
     """DES-CBC at the data-block boundary, IV derived from the block id.
 
-    ``counts`` meters whole-block cipher operations (one per block
-    enciphered or deciphered); it is thread-safe because concurrent
-    readers decipher outside every lock.
+    ``counts`` meters record-block cipher operations and the DES blocks
+    they run; it is thread-safe because concurrent readers decipher
+    outside every lock.
     """
 
     def __init__(self, key: bytes) -> None:
         self.key = key
         self._des = DES(key)
-        self.counts = CryptoOpCounts()
-        #: Span tracer timing whole-block cipher work; defaults to the
+        self.counts = RecordCipherCounts()
+        #: Span tracer timing record-block cipher work; defaults to the
         #: shared disabled tracer (see :meth:`RecordStore.attach_tracer`).
         self.tracer = NULL_TRACER
 
-    def _cipher(self, block_id: int) -> CBCCipher:
-        iv = self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
-        return CBCCipher(self._des, iv)
+    def _iv(self, block_id: int) -> bytes:
+        self.counts.bump("des_blocks")
+        return self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
+
+    def _decipher(self, block_id: int, data: bytes, first: int, stop: int) -> bytes:
+        """CBC plaintext of cipher blocks ``first`` to ``stop - 1`` of ``data``.
+
+        CBC decryption is random-access, ``P_i = D(C_i) xor C_(i-1)``, so
+        a run of blocks needs only the ciphertext block before it -- or
+        the IV, derived only when the run starts at block 0.
+        """
+        if stop <= first:
+            return b""
+        lo, hi = first * _DES_BLOCK, stop * _DES_BLOCK
+        chain = self._iv(block_id) if first == 0 else data[lo - _DES_BLOCK : lo]
+        chain += data[lo : hi - _DES_BLOCK]
+        decrypted = self._des.decrypt_blocks(data[lo:hi])
+        self.counts.bump("des_blocks", stop - first)
+        return (
+            int.from_bytes(decrypted, "big") ^ int.from_bytes(chain, "big")
+        ).to_bytes(hi - lo, "big")
+
+    @staticmethod
+    def _check_length(data: bytes) -> int:
+        """Index of the last cipher block of a well-formed ciphertext."""
+        if not data or len(data) % _DES_BLOCK:
+            raise CryptoError("ciphertext length is not a block multiple")
+        return len(data) // _DES_BLOCK - 1
 
     def on_write(self, block_id: int, data: bytes) -> bytes:
         with self.tracer.trace("cipher.record_encrypt"):
             self.counts.bump("encryptions")
-            return self._cipher(block_id).encrypt(data)
+            stored = CBCCipher(self._des, self._iv(block_id)).encrypt(data)
+            self.counts.bump("des_blocks", len(stored) // _DES_BLOCK)
+            return stored
 
     def on_read(self, block_id: int, data: bytes) -> bytes:
         with self.tracer.trace("cipher.record_decrypt"):
             self.counts.bump("decryptions")
-            return self._cipher(block_id).decrypt(data)
+            last = self._check_length(data)
+            return unpad_pkcs7(self._decipher(block_id, data, 0, last + 1), _DES_BLOCK)
+
+    def on_read_slot(
+        self, block_id: int, data: bytes, start: int, max_length: int
+    ) -> bytes:
+        """Decipher one length-prefixed slot of a block, and nothing else.
+
+        ``start`` is the slot's plaintext offset.  Three runs of cipher
+        blocks are deciphered: the last block, whose PKCS#7 padding is
+        validated and gives the plaintext length; the one or two blocks
+        holding the slot's 2-byte length prefix; and the blocks up to
+        the end of the payload that prefix announces.  Returns the
+        slot's bytes from its prefix to its payload's end, clipped to
+        the plaintext -- ``b""`` for a slot at or past the plaintext
+        end, and only the prefix when it exceeds ``max_length`` (a free
+        or corrupt slot).  Those are exactly the bytes a whole-block
+        :meth:`on_read` would give for the slot, and one read counts
+        one decryption either way.
+        """
+        with self.tracer.trace("cipher.record_decrypt"):
+            self.counts.bump("decryptions")
+            last = self._check_length(data)
+            tail = self._decipher(block_id, data, last, last + 1)
+            end = last * _DES_BLOCK + len(unpad_pkcs7(tail, _DES_BLOCK))
+            if start >= end:
+                return b""
+            first = start // _DES_BLOCK
+            offset = start - first * _DES_BLOCK
+            stop = min(start + 2, end)
+            plain = self._decipher(block_id, data, first, -(-stop // _DES_BLOCK))
+            length = int.from_bytes(plain[offset : offset + stop - start], "big")
+            if length <= max_length:
+                stop = min(start + 2 + length, end)
+                plain += self._decipher(
+                    block_id, data, first + len(plain) // _DES_BLOCK,
+                    -(-stop // _DES_BLOCK),
+                )
+            return plain[offset : offset + stop - start]
 
 
 class RecordStore:
@@ -178,8 +276,8 @@ class RecordStore:
         return store
 
     @property
-    def cipher_counts(self) -> CryptoOpCounts:
-        """Whole-block record-cipher operation counters."""
+    def cipher_counts(self) -> RecordCipherCounts:
+        """Record-cipher operation and DES-block counters."""
         return self._transform.counts
 
     def attach_tracer(self, tracer) -> None:
@@ -549,12 +647,26 @@ class RecordStore:
         return record_id
 
     def get(self, record_id: int) -> bytes:
-        """Fetch and decipher the record at ``record_id``."""
+        """Fetch and decipher the record at ``record_id``.
+
+        With the plaintext cache off (the default) only the cipher
+        blocks holding the slot are deciphered, plus the padding block
+        (see :meth:`_RecordBlockTransform.on_read_slot`); a cache miss
+        deciphers the whole block to fill the cache.
+        """
         block_index, slot = self._locate(record_id)
-        slots = self._load_slots(block_index)
-        if slot >= len(slots):
+        if self.cache.enabled:
+            slots = self._load_slots(block_index)
+            raw = slots[slot] if slot < len(slots) else b""
+        else:
+            raw = self._transform.on_read_slot(
+                block_index,
+                self.disk.read_at_rest(block_index),
+                slot * self.slot_size,
+                self.record_size,
+            )
+        if not raw:
             raise StorageError(f"record id {record_id} names an empty slot")
-        raw = slots[slot]
         length = int.from_bytes(raw[:2], "big")
         if length > self.record_size:
             raise StorageError(f"record id {record_id} slot is free or corrupt")

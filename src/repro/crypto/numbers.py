@@ -257,7 +257,8 @@ def discrete_log(g: int, h: int, p: int) -> int:
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """Solve ``x = r1 (mod m1)``, ``x = r2 (mod m2)`` for coprime moduli.
 
-    Used by the RSA decryption fast path.
+    Runs extended Euclid on every call; RSA decryption, which recombines
+    under one fixed pair of moduli, precomputes its coefficient instead.
     """
     g, x, _ = egcd(m1, m2)
     if g != 1:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.base import IntegerCipher
-from repro.crypto.numbers import crt_pair, modinv, random_prime
+from repro.crypto.numbers import modinv, random_prime
 from repro.exceptions import CryptoError, MessageRangeError
 
 #: Default encryption exponent; kept secret in the paper's usage mode, so
@@ -101,6 +101,9 @@ class RSA(IntegerCipher):
         if use_crt:
             self._dp = keypair.d % (keypair.p - 1)
             self._dq = keypair.d % (keypair.q - 1)
+            # Garner's CRT coefficient, fixed per key: recombining with
+            # it saves an extended-Euclid run on every decryption
+            self._q_inv = modinv(keypair.q, keypair.p)
 
     def encrypt_int(self, m: int) -> int:
         """Return ``m**e mod n``."""
@@ -111,7 +114,7 @@ class RSA(IntegerCipher):
         return pow(m, self.keypair.e, self.modulus)
 
     def decrypt_int(self, c: int) -> int:
-        """Return ``c**d mod n``, via CRT when enabled."""
+        """Return ``c**d mod n``, via CRT (Garner recombination) when enabled."""
         if not 0 <= c < self.modulus:
             raise MessageRangeError(
                 f"ciphertext {c} out of range [0, {self.modulus})"
@@ -121,7 +124,7 @@ class RSA(IntegerCipher):
         kp = self.keypair
         mp = pow(c % kp.p, self._dp, kp.p)
         mq = pow(c % kp.q, self._dq, kp.q)
-        return crt_pair(mp, kp.p, mq, kp.q)
+        return mq + (mp - mq) * self._q_inv % kp.p * kp.q
 
     # -- byte-oriented helpers for data blocks ------------------------------
 

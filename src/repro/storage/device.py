@@ -319,14 +319,21 @@ class BlockDevice(ABC):
 
     def read_block(self, block_id: int) -> bytes:
         """Read a block; the transform is inverted after the platter."""
+        stored = self.read_at_rest(block_id)
+        return self.transform.on_read(block_id, stored) if self.transform else stored
+
+    def read_at_rest(self, block_id: int) -> bytes:
+        """Read a block's at-rest bytes, leaving the transform to the caller.
+
+        The I/O half of :meth:`read_block`: the same bounds check,
+        fault injection, retries, integrity checks and statistics.  A
+        caller that needs only part of a block's plaintext (a record
+        store reading one slot) inverts just that part itself.
+        """
         self._check_id(block_id)
         if self.faults is None and self.retry_policy is None:
-            stored = self._fetch(block_id)
-        else:
-            stored = self._guarded(
-                "read", lambda: self._fetch(block_id), block_id=block_id
-            )
-        return self.transform.on_read(block_id, stored) if self.transform else stored
+            return self._fetch(block_id)
+        return self._guarded("read", lambda: self._fetch(block_id), block_id=block_id)
 
     def read_many(self, block_ids) -> list[bytes]:
         """Read several blocks in one device round trip.

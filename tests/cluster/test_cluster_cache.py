@@ -134,7 +134,12 @@ class TestClusterCacheStats:
         per_shard_hits = sum(s["record_cache"]["hits"] for s in stats.per_shard)
         assert stats.record_cache["hits"] == per_shard_hits
         assert 0.0 < stats.record_cache_hit_rate <= 1.0
+        for counter in ("decryptions", "des_blocks"):
+            assert stats.record_cipher[counter] == sum(
+                s["record_cipher"][counter] for s in stats.per_shard
+            )
         assert "record cache" in stats.summary()
+        assert "DES blocks" in stats.summary()
         db.close()
 
     def test_clear_caches_chills_every_shard(self, factories):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -77,6 +78,19 @@ class TestIntegerEncryption:
         for m in (7, 123456789, keypair.n - 2):
             c = fast.encrypt_int(m)
             assert fast.decrypt_int(c) == slow.decrypt_int(c) == m
+
+    @pytest.mark.parametrize("seed,bits", [(1, 64), (2, 96), (3, 128), (4, 256)])
+    def test_garner_crt_matches_plain_pow(self, seed, bits):
+        kp = generate_rsa_keypair(bits=bits, rng=random.Random(seed))
+        rng = random.Random(seed)
+        edges = [0, 1, kp.n - 1, kp.p, kp.q, 2 * kp.p, 3 * kp.q, (kp.q - 1) * kp.p]
+        samples = edges + [rng.randrange(kp.n) for _ in range(50)]
+        cipher = RSA(kp)
+        revived = pickle.loads(pickle.dumps(cipher))
+        for c in samples:
+            expected = pow(c, kp.d, kp.n)
+            assert cipher.decrypt_int(c) == expected
+            assert revived.decrypt_int(c) == expected
 
     def test_out_of_range_rejected(self, cipher):
         with pytest.raises(MessageRangeError):

@@ -89,6 +89,19 @@ class TestTransform:
         assert raw != b"plain contents!!"
         assert b"plain" not in raw
 
+    def test_read_at_rest_is_read_block_minus_the_transform(self):
+        scheme = PageKeyScheme(b"\x01" * 8)
+        disk = SimulatedDisk(block_size=64, transform=transform_from_page_key_scheme(scheme))
+        b = disk.allocate()
+        disk.write_block(b, b"plain contents")
+        disk.stats.reset()
+        assert disk.read_at_rest(b) == disk.raw_block(b)
+        assert disk.stats.reads == 1  # accounted like any physical read
+        with pytest.raises(BlockBoundsError):
+            disk.read_at_rest(b + 1)
+        with pytest.raises(BlockBoundsError):
+            disk.read_at_rest(disk.allocate())  # never written
+
     def test_raw_reads_bypass_stats(self):
         disk = SimulatedDisk(block_size=64)
         b = disk.allocate()
